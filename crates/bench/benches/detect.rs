@@ -4,7 +4,7 @@
 //! verdicts land within ~10 ms of the triggering epoch closing. This
 //! bench runs the real daemon over loopback TCP, makes an attack
 //! resident, and times the full client-observed path per epoch: rotate
-//! request → per-shard snapshot capture → feature merge → detector
+//! request → per-shard feature capture → feature merge → detector
 //! suite → alert frame back on the subscriber's socket.
 //!
 //! A manual timing pass writes `BENCH_detect.json` at the repo root

@@ -1,13 +1,12 @@
 //! Streaming anomaly detection wired into the live engine.
 //!
-//! At every epoch rotation the engine already captures the complete
-//! closed epoch per shard ([`crate::engine::Engine::rotate_with_snapshots`]).
-//! This module turns those captures into verdicts and pushes them to the
-//! network:
+//! At every epoch rotation each shard's worker absorbs its complete
+//! closed epoch into an [`EpochFeatures`] summary just before its reset
+//! ([`crate::engine::Engine::rotate_with_snapshots`]). This module turns
+//! those captures into verdicts and pushes them to the network:
 //!
-//! * [`DetectionRuntime`] absorbs each shard's WSAF into one mergeable
-//!   [`EpochFeatures`] summary, keeps the previous epoch's summary as
-//!   the comparison window, and runs the
+//! * [`DetectionRuntime`] merges the per-shard summaries into one, keeps
+//!   the previous epoch's summary as the comparison window, and runs the
 //!   [`instameasure_core::detect::DetectorSuite`] over the pair. The
 //!   shard merge is exact — the popcount dispatch keys all flows of a
 //!   source to one shard, so per-shard features partition the epoch and
@@ -35,7 +34,7 @@ use instameasure_core::detect::{
 };
 use instameasure_telemetry::{AtomicCell, Counter, Gauge, Histogram, SharedRegistry};
 
-use crate::engine::Engine;
+use crate::engine::{Engine, RotateOutcome};
 use crate::tune::TuneRuntime;
 use crate::wire::{write_frame, Response, SUBSCRIBE_MASK_ALL};
 
@@ -231,7 +230,7 @@ impl DetectionRuntime {
     }
 
     /// Closes the current epoch and evaluates it: rotates the engine
-    /// with per-shard snapshot capture, merges the shard features,
+    /// with per-shard feature capture, merges the shard features,
     /// runs every detector against the previous epoch's features, and
     /// pushes matching [`crate::wire::Response::Alert`] frames to the
     /// subscribers **before** returning — the caller's reply (e.g. the
@@ -242,12 +241,13 @@ impl DetectionRuntime {
     pub fn run_epoch(&self) -> EpochVerdict {
         let mut prev = lock(&self.prev);
         let start = Instant::now();
-        let outcome = self.engine.rotate_with_snapshots();
-        let closed_epoch = outcome.epoch.saturating_sub(1);
+        let RotateOutcome { epoch, retired, features } = self.engine.rotate_with_snapshots();
+        let closed_epoch = epoch.saturating_sub(1);
 
-        let mut cur = EpochFeatures::default();
-        for shard in &outcome.snapshots {
-            cur.absorb(shard.wsaf());
+        let mut shards = features.into_iter();
+        let mut cur = shards.next().unwrap_or_default();
+        for shard in shards {
+            cur.merge(&shard);
         }
         let prev_features = prev.as_ref().map(|(_, f)| f);
         let alerts = self.suite.evaluate(closed_epoch, prev_features, &cur);
@@ -270,7 +270,7 @@ impl DetectionRuntime {
         }
 
         *prev = Some((closed_epoch, cur));
-        EpochVerdict { epoch: outcome.epoch, retired: outcome.retired, alerts }
+        EpochVerdict { epoch, retired, alerts }
     }
 }
 

@@ -1,5 +1,5 @@
 //! The live measurement engine behind the daemon: thread-per-shard
-//! ownership, lock-free ingest, snapshot queries.
+//! ownership, lock-free ingest, queries answered inside the owning shard.
 //!
 //! The offline pipeline ([`instameasure_core::multicore`]) runs one
 //! manager over one finite iterator and tears everything down at
@@ -25,14 +25,18 @@
 //!   window. Workers discover new lanes through a mailbox guarded by a
 //!   mutex plus a generation counter, so the per-batch path costs one
 //!   relaxed atomic load, not a lock.
-//! * **Epoch-stamped snapshot queries.** Queries never touch live shard
-//!   state. The worker publishes an immutable clone of its pipeline into
-//!   a [`crate::snapshot::SnapshotSlot`] on demand (a reader asks, the
-//!   worker answers at the next batch boundary); readers validate the
-//!   seqlock stamp and retry on odd/changed values
-//!   (`service.snapshot.retries`). After a drain the worker's last act is
-//!   publishing its exact end-of-stream state, so post-drain queries are
-//!   bit-identical to an offline replay of the same per-shard stream.
+//! * **Queries through the control mailbox.** Nothing copies a shard to
+//!   answer a query. A query posts a job carrying a one-shot reply
+//!   channel to the owning worker's control mailbox; the worker runs it
+//!   on its live state at the next batch boundary, so an answer covers
+//!   every packet processed before the call. Epoch rotations travel the
+//!   same mailbox and ship each shard's [`EpochFeatures`]. Multi-shard
+//!   requests (top-k, telemetry, rotation) are posted to every shard
+//!   under one engine-wide lock, so all shards queue them in one order
+//!   and a merged answer never spans two epochs. After a drain the
+//!   workers hand their final state back through their join handles and
+//!   the engine answers from it, bit-identical to an offline replay of
+//!   the same per-shard stream.
 //! * **Packet-exact accounting.** `service.ingest.packets` counts what
 //!   lanes shipped, per-worker counters count what shards processed, and
 //!   [`Engine::drain`] proves `submitted == processed`: shutdown closes
@@ -43,11 +47,13 @@
 //!   abruptly closed connection loses nothing that was decoded. `drain`
 //!   is idempotent; concurrent calls all return the first report.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use instameasure_core::detect::EpochFeatures;
 use instameasure_core::multicore::{worker_for, MAX_BATCH_SIZE};
 use instameasure_core::{InstaMeasure, InstaMeasureConfig};
 use instameasure_packet::{FlowKey, PacketRecord};
@@ -57,7 +63,6 @@ use instameasure_telemetry::{
 
 use crate::affinity;
 use crate::ring::{ring, PushError, RingConsumer, RingProducer};
-use crate::snapshot::{SnapshotSlot, Stamped};
 use crate::wire::TopFlow;
 
 /// Batches a worker drains from one lane before giving others a turn.
@@ -67,13 +72,6 @@ const SPIN_ROUNDS: u32 = 64;
 /// Parked workers re-check their flags at least this often, so a lost
 /// wakeup costs bounded latency, never liveness.
 const PARK_TIMEOUT: Duration = Duration::from_micros(200);
-/// How long a query waits for a fresher snapshot before serving the
-/// newest published view anyway (a stalled worker must not stall reads
-/// forever). An idle worker answers in microseconds — the generous
-/// bound only matters when the host starves the worker thread outright,
-/// where serving a stale (possibly still-empty) view would turn
-/// scheduler noise into wrong answers.
-const SNAPSHOT_PATIENCE: Duration = Duration::from_secs(2);
 
 /// Geometry of the live engine.
 #[derive(Debug, Clone, Copy)]
@@ -130,18 +128,37 @@ pub struct DrainReport {
     pub per_worker: Vec<u64>,
 }
 
-/// A published point-in-time view of one shard.
-#[derive(Debug)]
-struct ShardView {
-    /// State version (batches applied, plus two per rotate) at publish.
-    ver: u64,
-    /// Measurement epoch this view belongs to. A rotation publishes the
-    /// *complete* retiring state stamped with the old epoch before the
-    /// reset, then the fresh state stamped with the new one — so merged
-    /// queries can demand one epoch across all shards.
-    epoch: u64,
-    /// Clone of the shard pipeline at a batch boundary.
+/// One shard's measurement state and the epoch it belongs to. The
+/// worker owns it while running; after a drain the engine does.
+struct ShardState {
     im: InstaMeasure,
+    epoch: u64,
+}
+
+/// A query or rotation against one shard's state, run by its worker at
+/// a batch boundary or by the engine on the drained state. The job
+/// sends its own reply.
+type Job = Box<dyn FnOnce(&Shard, &mut ShardState) + Send>;
+
+/// Builds a job running `f`, plus the receiver its answer arrives on.
+/// The job refreshes the shard's resident-flow count before replying,
+/// so a caller holding the reply also sees the count it left behind.
+fn job<R: Send + 'static>(
+    f: impl FnOnce(&mut ShardState) -> R + Send + 'static,
+) -> (Job, Receiver<R>) {
+    let (tx, rx) = mpsc::channel();
+    let job: Job = Box::new(move |shard, state| {
+        let answer = f(state);
+        shard.flows_resident.store(state.im.wsaf().len() as u64, Ordering::Release);
+        let _ = tx.send(answer);
+    });
+    (job, rx)
+}
+
+/// Every answer that arrives. A job dropped unanswered (its worker died)
+/// drops its reply sender, which ends that wait instead of hanging it.
+fn answers<R>(replies: Vec<Receiver<R>>) -> impl Iterator<Item = R> {
+    replies.into_iter().filter_map(|reply| reply.recv().ok())
 }
 
 /// Worker-side endpoints of one lane's ring pair.
@@ -156,24 +173,6 @@ struct LanePort {
     ret: RingConsumer<Vec<PacketRecord>>,
 }
 
-/// Control requests a worker handles at a batch boundary.
-enum Control {
-    Rotate(Arc<RotateSync>),
-}
-
-struct RotateSync {
-    retired: AtomicU64,
-    remaining: AtomicUsize,
-    /// The epoch the rotation opens (workers stamp their post-reset
-    /// publications with it).
-    new_epoch: u64,
-    /// When set, each worker parks a clone of its complete retiring
-    /// state in `snapshots[w]` before resetting — the detection
-    /// coordinator's per-shard epoch capture.
-    want_snapshots: bool,
-    snapshots: Mutex<Vec<Option<InstaMeasure>>>,
-}
-
 /// What one epoch rotation produced.
 #[derive(Debug)]
 pub struct RotateOutcome {
@@ -181,9 +180,10 @@ pub struct RotateOutcome {
     pub epoch: u64,
     /// WSAF-resident flows retired across all shards.
     pub retired: u64,
-    /// The complete retiring per-shard measurement states, indexed by
-    /// shard — populated only by [`Engine::rotate_with_snapshots`].
-    pub snapshots: Vec<InstaMeasure>,
+    /// Each shard's feature summary of the closed epoch, absorbed by its
+    /// worker just before the reset and indexed by shard — populated
+    /// only by [`Engine::rotate_with_snapshots`].
+    pub features: Vec<EpochFeatures>,
 }
 
 /// Everything shared between one worker thread, the lanes feeding it and
@@ -198,29 +198,47 @@ struct Shard {
     /// Final-sweep latch: once set (under `mailbox`), no lane may
     /// register here again, which bounds shutdown.
     reg_closed: AtomicBool,
-    control: Mutex<Vec<Control>>,
+    /// Jobs waiting for the worker's next batch boundary; `None` once the
+    /// worker's final sweep closed it (under this lock, the way
+    /// `reg_closed` closes lane registration).
+    control: Mutex<Option<Vec<Job>>>,
     control_flag: AtomicBool,
     draining: AtomicBool,
-    /// Cleared by the worker after its final exact publication, so
-    /// queries know the newest view is the end-of-stream truth.
-    running: AtomicBool,
     /// Worker is (about to be) blocked on `wake_cv`; producers skip the
     /// notify entirely while this is false, keeping the hot path
     /// lock-free.
     parked: AtomicBool,
     wake: Mutex<bool>,
     wake_cv: Condvar,
-    slot: SnapshotSlot<ShardView>,
-    /// Batches applied so far (the freshness ruler for snapshot waits).
-    ver: AtomicU64,
-    /// Bumped by readers that need a fresher view than the slot holds.
-    snap_requests: AtomicU64,
     /// WSAF-resident flow count, maintained per batch so `status` polls
-    /// never force a snapshot clone.
+    /// never bother the worker.
     flows_resident: AtomicU64,
     /// Test hook: nanoseconds the worker dawdles per batch.
     worker_stall: AtomicU64,
-    cfg: InstaMeasureConfig,
+}
+
+impl Shard {
+    /// Queues `job` for the worker's next batch boundary, or hands it
+    /// back if the final sweep has closed the mailbox.
+    fn post(&self, job: Job) -> Result<(), Job> {
+        match lock(&self.control).as_mut() {
+            Some(queue) => queue.push(job),
+            None => return Err(job),
+        }
+        self.control_flag.store(true, Ordering::Release);
+        wake(self);
+        Ok(())
+    }
+}
+
+/// Closes a shard's control mailbox however its worker exits, panics
+/// included: the jobs still queued drop with their reply senders.
+struct CloseOnExit<'a>(&'a Shard);
+
+impl Drop for CloseOnExit<'_> {
+    fn drop(&mut self) {
+        lock(&self.0.control).take();
+    }
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -236,6 +254,13 @@ fn wake(shard: &Shard) {
     }
 }
 
+/// Where the shard states live: on the running workers, or — once
+/// drained — in the engine itself.
+enum Phase {
+    Live(Vec<thread::JoinHandle<(u64, ShardState)>>),
+    Drained { report: DrainReport, states: Vec<ShardState> },
+}
+
 /// The live measurement engine: shard-owning workers and the lock-free
 /// ingest fabric.
 pub struct Engine {
@@ -243,26 +268,26 @@ pub struct Engine {
     batch_size: usize,
     queue_batches: usize,
     open: Arc<AtomicBool>,
-    handles: Mutex<Vec<thread::JoinHandle<u64>>>,
     registry: Arc<SharedRegistry>,
     submitted: Counter<AtomicCell>,
     batches: Counter<AtomicCell>,
     batch_fill: Histogram<AtomicCell>,
     ring_occupancy: Histogram<AtomicCell>,
     ring_stalls: Counter<AtomicCell>,
-    snap_retries: Counter<AtomicCell>,
-    epoch_retries: Counter<AtomicCell>,
     rejected: Counter<AtomicCell>,
+    /// `service.worker{w}.packets`, one per shard.
+    worker_packets: Vec<Counter<AtomicCell>>,
     epoch: AtomicU64,
-    drained: Mutex<Option<DrainReport>>,
+    /// The engine-wide lock. Multi-shard requests are posted under it, so
+    /// every shard queues them in the same order; rotations and drains
+    /// hold it throughout.
+    phase: Mutex<Phase>,
 }
 
 /// Per-worker context moved into the worker thread.
 struct WorkerCtx {
-    index: usize,
     shard: Arc<Shard>,
     packets_ctr: Counter<AtomicCell>,
-    publishes_ctr: Counter<AtomicCell>,
     pinned_ctr: Counter<AtomicCell>,
     pin_cpu: Option<usize>,
 }
@@ -291,23 +316,14 @@ impl Engine {
                     mailbox: Mutex::new(Vec::new()),
                     reg_gen: AtomicU64::new(0),
                     reg_closed: AtomicBool::new(false),
-                    control: Mutex::new(Vec::new()),
+                    control: Mutex::new(Some(Vec::new())),
                     control_flag: AtomicBool::new(false),
                     draining: AtomicBool::new(false),
-                    running: AtomicBool::new(true),
                     parked: AtomicBool::new(false),
                     wake: Mutex::new(false),
                     wake_cv: Condvar::new(),
-                    slot: SnapshotSlot::new(ShardView {
-                        ver: 0,
-                        epoch: 0,
-                        im: InstaMeasure::new(cfg.per_worker),
-                    }),
-                    ver: AtomicU64::new(0),
-                    snap_requests: AtomicU64::new(0),
                     flows_resident: AtomicU64::new(0),
                     worker_stall: AtomicU64::new(0),
-                    cfg: cfg.per_worker,
                 })
             })
             .collect();
@@ -317,11 +333,11 @@ impl Engine {
         let batch_fill = registry.histogram("ingest.batch_fill");
         let ring_occupancy = registry.histogram("service.ring.occupancy");
         let ring_stalls = registry.counter("service.ring.full_stalls");
-        let snap_retries = registry.counter("service.snapshot.retries");
-        let epoch_retries = registry.counter("service.snapshot.epoch_retries");
         let rejected = registry.counter("service.ingest.rejected_packets");
-        let publishes = registry.counter("service.snapshot.publishes");
         let pinned = registry.counter("service.workers.pinned");
+        let worker_packets: Vec<_> = (0..cfg.workers)
+            .map(|w| registry.counter(&format!("service.worker{w}.packets")))
+            .collect();
         registry
             .gauge("hotpath.prefetch_enabled")
             .set(if instameasure_packet::prefetch::prefetch_enabled() { 1.0 } else { 0.0 });
@@ -341,10 +357,8 @@ impl Engine {
         let mut handles = Vec::with_capacity(cfg.workers);
         for (w, shard) in shards.iter().enumerate() {
             let ctx = WorkerCtx {
-                index: w,
                 shard: Arc::clone(shard),
-                packets_ctr: registry.counter(&format!("service.worker{w}.packets")),
-                publishes_ctr: publishes.clone(),
+                packets_ctr: worker_packets[w].clone(),
                 pinned_ctr: pinned.clone(),
                 pin_cpu: cfg.pin.then_some(w % cpus),
             };
@@ -362,18 +376,16 @@ impl Engine {
             batch_size: cfg.batch_size,
             queue_batches: cfg.queue_batches,
             open: Arc::new(AtomicBool::new(true)),
-            handles: Mutex::new(handles),
             registry,
             submitted,
             batches,
             batch_fill,
             ring_occupancy,
             ring_stalls,
-            snap_retries,
-            epoch_retries,
             rejected,
+            worker_packets,
             epoch: AtomicU64::new(0),
-            drained: Mutex::new(None),
+            phase: Mutex::new(Phase::Live(handles)),
         }
     }
 
@@ -444,107 +456,96 @@ impl Engine {
     /// Packets fully processed by shards so far.
     #[must_use]
     pub fn packets_processed(&self) -> u64 {
-        (0..self.shards.len())
-            .map(|w| self.registry.counter(&format!("service.worker{w}.packets")).get())
-            .sum()
+        self.worker_packets.iter().map(Counter::get).sum()
     }
 
-    /// A validated snapshot of shard `w`, no staler than the shard's
-    /// state at call time (worker permitting — a worker that fails to
-    /// publish within [`SNAPSHOT_PATIENCE`] serves the newest *published*
-    /// view instead of stalling the query; a shard that has never
-    /// published is waited out, never answered with the empty initial
-    /// view).
-    fn view(&self, w: usize) -> Arc<Stamped<ShardView>> {
-        let shard = &self.shards[w];
-        let want = shard.ver.load(Ordering::Acquire);
-        let (view, retries) = shard.slot.read();
-        self.snap_retries.add(retries);
-        if view.value.ver >= want {
-            return view;
+    /// Runs `f` on shard `w`'s state — live on its worker at the next
+    /// batch boundary, or on the drained state once the worker's final
+    /// sweep has closed its mailbox (waiting out a drain in progress).
+    /// `None` only if the worker died with the job unanswered.
+    fn ask<R: Send + 'static>(
+        &self,
+        w: usize,
+        f: impl FnOnce(&mut ShardState) -> R + Send + 'static,
+    ) -> Option<R> {
+        let (job, reply) = job(f);
+        if let Err(job) = self.shards[w].post(job) {
+            if let Phase::Drained { states, .. } = &mut *lock(&self.phase) {
+                job(&self.shards[w], &mut states[w]);
+            }
         }
-        shard.snap_requests.fetch_add(1, Ordering::AcqRel);
-        wake(shard);
-        let deadline = Instant::now() + SNAPSHOT_PATIENCE;
-        loop {
-            let (view, retries) = shard.slot.read();
-            self.snap_retries.add(retries);
-            if view.value.ver >= want {
-                return view;
-            }
-            if !shard.running.load(Ordering::Acquire) {
-                // The worker exited; its final exact publication is
-                // ordered before `running := false`, so re-read once.
-                let (view, retries) = shard.slot.read();
-                self.snap_retries.add(retries);
-                return view;
-            }
-            // Serving a *stale* view on deadline is bounded staleness;
-            // serving the never-published initial view would answer
-            // "empty" for a shard that holds data. The worker is alive
-            // (`running`) and publishes on request within one loop
-            // round, so waiting out the first publication terminates.
-            if Instant::now() >= deadline && view.value.ver > 0 {
-                return view;
-            }
-            wake(shard);
-            thread::sleep(Duration::from_micros(20));
-        }
+        reply.recv().ok()
     }
 
-    /// Per-flow estimate `(packets, bytes)` from the owning shard's
-    /// snapshot — WSAF accumulation plus sketch residual, the paper's
+    /// Posts one job per shard running `f`, or runs them right away on
+    /// the drained states. The caller holds the phase lock, so every
+    /// shard queues the jobs in one order. Replies come in shard order.
+    fn post_all<R, F>(&self, phase: &mut Phase, f: F) -> Vec<Receiver<R>>
+    where
+        R: Send + 'static,
+        F: Fn(&mut ShardState) -> R + Send + Sync + 'static,
+    {
+        let f = Arc::new(f);
+        let mut replies = Vec::with_capacity(self.shards.len());
+        for (w, shard) in self.shards.iter().enumerate() {
+            let f = Arc::clone(&f);
+            let (job, reply) = job(move |state| f(state));
+            match phase {
+                // Under the phase lock a live shard's mailbox is open
+                // unless its worker died; then the job drops unanswered.
+                Phase::Live(_) => drop(shard.post(job)),
+                Phase::Drained { states, .. } => job(shard, &mut states[w]),
+            }
+            replies.push(reply);
+        }
+        replies
+    }
+
+    /// One answer per shard to the same request, all from one epoch.
+    fn ask_all<R, F>(&self, f: F) -> Vec<R>
+    where
+        R: Send + 'static,
+        F: Fn(&mut ShardState) -> R + Send + Sync + 'static,
+    {
+        let replies = self.post_all(&mut lock(&self.phase), f);
+        answers(replies).collect()
+    }
+
+    /// Per-flow estimate `(packets, bytes)` from the owning shard's live
+    /// state — WSAF accumulation plus sketch residual, the paper's
     /// instant query. The key is digested once; both halves of the answer
     /// derive from that single hash ([`InstaMeasure::estimate`]).
     #[must_use]
     pub fn estimate(&self, key: &FlowKey) -> (f64, f64) {
-        let view = self.view(worker_for(key, self.shards.len()));
-        view.value.im.estimate(key)
+        let key = *key;
+        self.ask(worker_for(&key, self.shards.len()), move |state| state.im.estimate(&key))
+            .unwrap_or_default()
     }
 
     /// Merged top-`k` flows by packets across all shards (WSAF view, the
-    /// same merge the offline CLI prints). The per-shard snapshots are
-    /// epoch-validated *and* mutually epoch-consistent — a merge racing
-    /// a rotation sees either every shard's retiring state or every
-    /// shard's fresh state, never a mix. Ingest never pauses.
+    /// same merge the offline CLI prints). Each shard answers its own
+    /// top-`k`; the answers all come from one epoch — a merge racing a
+    /// rotation sees every shard's retiring state or every shard's fresh
+    /// state, never a mix. Ingest never pauses.
     #[must_use]
     pub fn top_k(&self, k: usize) -> Vec<TopFlow> {
-        let mut all: Vec<TopFlow> = Vec::new();
-        for view in self.consistent_views() {
-            all.extend(view.value.im.wsaf().top_k_by_packets(k).into_iter().map(|e| TopFlow {
-                key: e.key,
-                packets: e.packets,
-                bytes: e.bytes,
-            }));
-        }
+        let mut all: Vec<TopFlow> = self
+            .ask_all(move |state| {
+                let top = state.im.wsaf().top_k_by_packets(k).into_iter();
+                top.map(|e| TopFlow { key: e.key, packets: e.packets, bytes: e.bytes })
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
         all.sort_by(|a, b| b.packets.total_cmp(&a.packets).then_with(|| a.key.cmp(&b.key)));
         all.truncate(k);
         all
     }
 
-    /// One epoch-validated snapshot per shard, retried until every view
-    /// carries the *same* epoch. During a rotation the shards flip to
-    /// the new epoch at their own batch boundaries; the handful of
-    /// microseconds where they disagree is waited out (counted in
-    /// `service.snapshot.epoch_retries`), bounded by the same patience
-    /// as single-shard reads — on deadline the freshest mix is served
-    /// rather than stalling the caller forever.
-    fn consistent_views(&self) -> Vec<Arc<Stamped<ShardView>>> {
-        let deadline = Instant::now() + SNAPSHOT_PATIENCE;
-        loop {
-            let views: Vec<_> = (0..self.shards.len()).map(|w| self.view(w)).collect();
-            let epoch0 = views[0].value.epoch;
-            if views.iter().all(|v| v.value.epoch == epoch0) || Instant::now() >= deadline {
-                return views;
-            }
-            self.epoch_retries.inc();
-            thread::sleep(Duration::from_micros(20));
-        }
-    }
-
     /// Distinct flows currently resident across all WSAF shards. Served
-    /// from per-batch counters, so status polls cost a few atomic loads,
-    /// not a snapshot.
+    /// from per-batch counters, so status polls cost a few atomic loads
+    /// and never reach a worker.
     #[must_use]
     pub fn flows(&self) -> u64 {
         self.shards.iter().map(|s| s.flows_resident.load(Ordering::Acquire)).sum()
@@ -561,79 +562,50 @@ impl Engine {
     }
 
     /// Rotates the epoch and additionally returns every shard's
-    /// *complete* retiring measurement state — the per-shard epoch
-    /// capture streaming detection consumes. Each worker clones its
-    /// state at its own rotation boundary, before the reset, so the
+    /// [`EpochFeatures`] of the closed epoch — the per-shard epoch
+    /// capture streaming detection consumes. Each worker absorbs its
+    /// WSAF at its own rotation boundary, before the reset, so the
     /// captured shards jointly form exactly the closed epoch.
     pub fn rotate_with_snapshots(&self) -> RotateOutcome {
         self.rotate_inner(true)
     }
 
-    fn rotate_inner(&self, want_snapshots: bool) -> RotateOutcome {
-        // The drain lock serializes rotations, so the epoch arithmetic
-        // below is race-free.
-        let drained = lock(&self.drained);
+    fn rotate_inner(&self, want_features: bool) -> RotateOutcome {
+        // Holding the phase lock until every shard has answered
+        // serializes rotations (the epoch arithmetic below is race-free)
+        // and keeps a drain from starting halfway through one.
+        let mut phase = lock(&self.phase);
         let new_epoch = self.epoch.load(Ordering::Relaxed) + 1;
-        let mut snapshots: Vec<InstaMeasure> = Vec::new();
-        let retired = if drained.is_some() {
-            // Workers have exited; the engine is the (sole, serialized by
-            // the drain lock) writer now. Retire what the final exact
-            // views hold and publish fresh empty state.
-            let mut retired = 0u64;
-            for shard in &self.shards {
-                let (view, retries) = shard.slot.read();
-                self.snap_retries.add(retries);
-                retired += view.value.im.wsaf().len() as u64;
-                if want_snapshots {
-                    snapshots.push(view.value.im.clone());
-                }
-                let ver = shard.ver.fetch_add(1, Ordering::AcqRel) + 1;
-                shard.slot.publish(ShardView {
-                    ver,
-                    epoch: new_epoch,
-                    im: InstaMeasure::new(shard.cfg),
-                });
-                shard.flows_resident.store(0, Ordering::Release);
-            }
-            retired
-        } else {
-            let sync = Arc::new(RotateSync {
-                retired: AtomicU64::new(0),
-                remaining: AtomicUsize::new(self.shards.len()),
-                new_epoch,
-                want_snapshots,
-                snapshots: Mutex::new((0..self.shards.len()).map(|_| None).collect()),
+        let replies = self.post_all(&mut phase, move |state| {
+            let retired = state.im.wsaf().len() as u64;
+            let features = want_features.then(|| {
+                let mut features = EpochFeatures::default();
+                features.absorb(state.im.wsaf());
+                features
             });
-            for shard in &self.shards {
-                lock(&shard.control).push(Control::Rotate(Arc::clone(&sync)));
-                shard.control_flag.store(true, Ordering::Release);
-                wake(shard);
-            }
-            while sync.remaining.load(Ordering::Acquire) > 0 {
-                thread::yield_now();
-            }
-            if want_snapshots {
-                snapshots = lock(&sync.snapshots)
-                    .drain(..)
-                    .map(|s| s.expect("every worker parks its snapshot before acking"))
-                    .collect();
-            }
-            sync.retired.load(Ordering::Acquire)
-        };
+            state.im.reset();
+            state.epoch = new_epoch;
+            (retired, features)
+        });
+        let mut outcome = RotateOutcome { epoch: new_epoch, retired: 0, features: Vec::new() };
+        for (retired, features) in answers(replies) {
+            outcome.retired += retired;
+            outcome.features.extend(features);
+        }
         self.epoch.store(new_epoch, Ordering::Relaxed);
-        drop(drained);
+        drop(phase);
         self.registry.gauge("service.epoch").set(new_epoch as f64);
-        RotateOutcome { epoch: new_epoch, retired, snapshots }
+        outcome
     }
 
     /// The service registry (`service.*` metrics) merged with every
-    /// shard's measurement telemetry (`regulator.*`, `wsaf.*`), read from
-    /// epoch-validated snapshots.
+    /// shard's measurement telemetry (`regulator.*`, `wsaf.*`), each
+    /// shard's read by its worker from live state.
     #[must_use]
     pub fn full_telemetry(&self) -> Snapshot {
         let mut snap = self.registry.snapshot();
-        for view in self.consistent_views() {
-            snap.merge(&view.value.im.telemetry());
+        for shard in self.ask_all(|state| state.im.telemetry()) {
+            snap.merge(&shard);
         }
         snap
     }
@@ -644,37 +616,28 @@ impl Engine {
     /// lane successfully shipped is processed and counted — the ring
     /// close handshake resolves pushes racing the drain to exactly one
     /// side — and a lane racing the drain gets [`EngineClosed`] for
-    /// anything after.
+    /// anything after. The workers' final states stay in the engine,
+    /// which answers every later query and rotation from them.
     pub fn drain(&self) -> DrainReport {
-        let mut drained = lock(&self.drained);
-        if let Some(report) = drained.as_ref() {
-            return report.clone();
-        }
+        let mut phase = lock(&self.phase);
+        let handles = match &mut *phase {
+            Phase::Drained { report, .. } => return report.clone(),
+            Phase::Live(handles) => std::mem::take(handles),
+        };
         self.open.store(false, Ordering::SeqCst);
         for shard in &self.shards {
             shard.draining.store(true, Ordering::SeqCst);
             wake(shard);
         }
-        let handles: Vec<_> = lock(&self.handles).drain(..).collect();
-        let per_worker: Vec<u64> =
-            handles.into_iter().map(|h| h.join().expect("worker thread must not panic")).collect();
+        let (per_worker, states): (Vec<u64>, Vec<ShardState>) =
+            handles.into_iter().map(|h| h.join().expect("worker thread must not panic")).unzip();
         let report = DrainReport {
             submitted: self.submitted.get(),
             processed: per_worker.iter().sum(),
             per_worker,
         };
-        *drained = Some(report.clone());
+        *phase = Phase::Drained { report: report.clone(), states };
         report
-    }
-
-    /// Test hook: slow every snapshot publication by `nanos` inside the
-    /// odd seqlock window (0 disarms). Lets the torn-read regression test
-    /// prove readers retry rather than observe a mixed-epoch view.
-    #[doc(hidden)]
-    pub fn debug_set_publish_stall(&self, nanos: u64) {
-        for shard in &self.shards {
-            shard.slot.set_publish_stall(nanos);
-        }
     }
 
     /// Test hook: make every worker dawdle `nanos` per batch (0 disarms),
@@ -686,48 +649,29 @@ impl Engine {
         }
     }
 
-    /// Test hook: the raw seqlock stamp of shard `w`'s snapshot slot.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn debug_snapshot_stamp(&self, w: usize) -> u64 {
-        self.shards[w].slot.stamp()
-    }
-
-    /// Test hook: one validated snapshot read of shard `w`, returning
-    /// `(seqlock stamp, shard version)` of the view. Within one reader
-    /// thread both components must be monotone non-decreasing and the
-    /// stamp always even — the torn-read regression test hammers this
-    /// while publication is artificially slowed.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn debug_shard_view_meta(&self, w: usize) -> (u64, u64) {
-        let (view, retries) = self.shards[w].slot.read();
-        self.snap_retries.add(retries);
-        (view.stamp, view.value.ver)
-    }
-
-    /// Test hook: a full clone of shard `w`'s measurement state, read
-    /// through the same validated-snapshot path as queries. The
-    /// differential suites diff this against an offline replay of the
-    /// shard's exact packet stream.
+    /// Test hook: a full clone of shard `w`'s measurement state, taken
+    /// the way queries read it (live on the worker, or from the drained
+    /// state). The differential suites diff this against an offline
+    /// replay of the shard's exact packet stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shard's worker died.
     #[doc(hidden)]
     #[must_use]
     pub fn debug_shard_measurement(&self, w: usize) -> InstaMeasure {
-        self.view(w).value.im.clone()
+        self.ask(w, |state| state.im.clone()).expect("shard worker died")
     }
 
-    /// Test hook: one epoch-consistent merged read, returning the epoch
-    /// stamp and WSAF-resident flow count of every shard's view. The
-    /// epoch-boundary regression test hammers this against racing
-    /// rotations: the epochs must always agree, and the per-shard
-    /// states must be all-retiring or all-fresh, never mixed.
+    /// Test hook: one merged read, returning the epoch and WSAF-resident
+    /// flow count of every shard. The epoch-boundary regression test
+    /// hammers this against racing rotations: the epochs must always
+    /// agree, and the per-shard states must be all-retiring or all-fresh,
+    /// never mixed.
     #[doc(hidden)]
     #[must_use]
     pub fn debug_consistent_view(&self) -> Vec<(u64, usize)> {
-        self.consistent_views()
-            .into_iter()
-            .map(|v| (v.value.epoch, v.value.im.wsaf().len()))
-            .collect()
+        self.ask_all(|state| (state.epoch, state.im.wsaf().len()))
     }
 }
 
@@ -746,21 +690,21 @@ impl Instrumented for Engine {
 }
 
 /// The owning worker: drains its lanes' rings, applies batches to its
-/// private `InstaMeasure`, publishes snapshots on request, and exits only
-/// after the drain handshake has emptied and closed every ring.
-fn worker_loop(ctx: &WorkerCtx, mut im: InstaMeasure) -> u64 {
+/// private `InstaMeasure`, runs queued jobs at batch boundaries, and
+/// exits only after the drain handshake has emptied and closed every
+/// ring, returning `(processed, final state)`.
+fn worker_loop(ctx: &WorkerCtx, im: InstaMeasure) -> (u64, ShardState) {
     if let Some(cpu) = ctx.pin_cpu {
         if affinity::pin_current_thread(cpu) {
             ctx.pinned_ctr.inc();
         }
     }
     let shard = &*ctx.shard;
+    let _close = CloseOnExit(shard);
+    let mut state = ShardState { im, epoch: 0 };
     let mut lanes: Vec<LaneRings> = Vec::new();
     let mut seen_gen = 0u64;
     let mut processed = 0u64;
-    let mut served_snaps = 0u64;
-    let mut last_pub_ver = 0u64;
-    let mut epoch = 0u64;
     let mut idle_rounds = 0u32;
 
     loop {
@@ -781,7 +725,7 @@ fn worker_loop(ctx: &WorkerCtx, mut im: InstaMeasure) -> u64 {
                 match lane.fwd.pop() {
                     Some(batch) => {
                         busy = true;
-                        process_one(shard, &mut im, &batch, &mut processed, &ctx.packets_ctr);
+                        process_one(shard, &mut state.im, &batch, &mut processed, &ctx.packets_ctr);
                         recycle(lane, batch);
                     }
                     None => break,
@@ -790,43 +734,14 @@ fn worker_loop(ctx: &WorkerCtx, mut im: InstaMeasure) -> u64 {
             !(lane.fwd.producer_closed() && lane.fwd.is_drained())
         });
 
-        // Control requests (epoch rotation) land at batch boundaries.
+        // Queries and rotations land at batch boundaries, in the order
+        // they were posted.
         if shard.control_flag.swap(false, Ordering::AcqRel) {
             busy = true;
-            let pending: Vec<Control> = lock(&shard.control).drain(..).collect();
-            for ctl in pending {
-                match ctl {
-                    Control::Rotate(sync) => {
-                        sync.retired.fetch_add(im.wsaf().len() as u64, Ordering::AcqRel);
-                        // Publish the *complete* retiring state, stamped
-                        // with the closing epoch, before the reset.
-                        // Queries racing the rotation (their freshness
-                        // `want` was captured pre-rotate) are satisfied
-                        // by this view instead of the post-reset empty
-                        // one — the old code dropped the pre-rotation
-                        // snapshot here and answered "empty" for a
-                        // shard that held a full epoch of flows.
-                        shard.ver.fetch_add(1, Ordering::Release);
-                        publish(shard, &im, epoch, &mut last_pub_ver, &ctx.publishes_ctr);
-                        if sync.want_snapshots {
-                            lock(&sync.snapshots)[ctx.index] = Some(im.clone());
-                        }
-                        im.reset();
-                        epoch = sync.new_epoch;
-                        shard.flows_resident.store(0, Ordering::Release);
-                        shard.ver.fetch_add(1, Ordering::Release);
-                        publish(shard, &im, epoch, &mut last_pub_ver, &ctx.publishes_ctr);
-                        sync.remaining.fetch_sub(1, Ordering::AcqRel);
-                    }
-                }
+            let jobs = lock(&shard.control).as_mut().map(std::mem::take).unwrap_or_default();
+            for job in jobs {
+                job(shard, &mut state);
             }
-        }
-
-        // Publish a snapshot if any reader asked since the last one.
-        let want = shard.snap_requests.load(Ordering::Acquire);
-        if want != served_snaps {
-            publish(shard, &im, epoch, &mut last_pub_ver, &ctx.publishes_ctr);
-            served_snaps = want;
         }
 
         if busy {
@@ -835,14 +750,15 @@ fn worker_loop(ctx: &WorkerCtx, mut im: InstaMeasure) -> u64 {
         }
 
         if shard.draining.load(Ordering::Acquire) {
-            final_sweep(shard, &mut im, &mut lanes, &mut processed, &ctx.packets_ctr);
-            // The last act before `running := false` is publishing the
-            // exact end-of-stream state; queries re-read after observing
-            // the flag, so post-drain answers are bit-exact.
-            shard.ver.fetch_add(1, Ordering::Release);
-            publish(shard, &im, epoch, &mut last_pub_ver, &ctx.publishes_ctr);
-            shard.running.store(false, Ordering::Release);
-            return processed;
+            final_sweep(shard, &mut state.im, &mut lanes, &mut processed, &ctx.packets_ctr);
+            // Close the mailbox and answer what it still holds from the
+            // exact end-of-stream state; later jobs find it closed and
+            // run on the state this returns to the engine.
+            let pending = lock(&shard.control).take().unwrap_or_default();
+            for job in pending {
+                job(shard, &mut state);
+            }
+            return (processed, state);
         }
 
         idle_rounds += 1;
@@ -855,7 +771,7 @@ fn worker_loop(ctx: &WorkerCtx, mut im: InstaMeasure) -> u64 {
 }
 
 /// Applies one batch to the worker's private state and maintains the
-/// shard's version/occupancy counters.
+/// shard's occupancy counter.
 fn process_one(
     shard: &Shard,
     im: &mut InstaMeasure,
@@ -874,7 +790,6 @@ fn process_one(
     *processed += batch.len() as u64;
     packets_ctr.add(batch.len() as u64);
     shard.flows_resident.store(im.wsaf().len() as u64, Ordering::Release);
-    shard.ver.fetch_add(1, Ordering::Release);
 }
 
 /// Hands a drained buffer back through the return ring; if the lane is
@@ -882,24 +797,6 @@ fn process_one(
 fn recycle(lane: &mut LaneRings, mut batch: Vec<PacketRecord>) {
     batch.clear();
     let _ = lane.ret.push(batch);
-}
-
-/// Publishes the current state unless the newest publication already
-/// carries it (idle polls clone nothing).
-fn publish(
-    shard: &Shard,
-    im: &InstaMeasure,
-    epoch: u64,
-    last_pub_ver: &mut u64,
-    publishes_ctr: &Counter<AtomicCell>,
-) {
-    let ver = shard.ver.load(Ordering::Acquire);
-    if ver == *last_pub_ver {
-        return;
-    }
-    shard.slot.publish(ShardView { ver, epoch, im: im.clone() });
-    *last_pub_ver = ver;
-    publishes_ctr.inc();
 }
 
 /// Shutdown sweep: latch registration closed, then empty and close every
@@ -1254,17 +1151,17 @@ mod tests {
         assert!(resident > 0, "elephants must be resident before rotate");
         let outcome = engine.rotate_with_snapshots();
         assert_eq!(outcome.epoch, 1);
-        assert_eq!(outcome.snapshots.len(), 2, "one capture per shard");
-        let captured: u64 = outcome.snapshots.iter().map(|im| im.wsaf().len() as u64).sum();
+        assert_eq!(outcome.features.len(), 2, "one capture per shard");
+        let captured: u64 = outcome.features.iter().map(|f| f.flows() as u64).sum();
         assert_eq!(captured, resident, "captures hold the complete retiring epoch");
         assert_eq!(outcome.retired, resident);
         assert_eq!(engine.flows(), 0, "live state was reset");
         drop(lane);
         engine.drain();
-        // The drained path (engine as sole writer) snapshots too.
+        // The drained path (the engine holds the final states) captures too.
         let outcome = engine.rotate_with_snapshots();
         assert_eq!(outcome.epoch, 2);
-        assert_eq!(outcome.snapshots.len(), 2);
+        assert_eq!(outcome.features.len(), 2);
         assert_eq!(outcome.retired, 0, "nothing resident after the first rotate");
     }
 

@@ -16,16 +16,17 @@
 //!   sharded *thread-per-shard* workers that own their WSAF shard
 //!   outright, fed through lock-free SPSC rings ([`ring`]) with recycled
 //!   batch buffers for allocation-free steady state, online queries
-//!   served from epoch-stamped snapshots ([`snapshot`]) that never stop
-//!   ingest, and drain with packet-exact accounting.
+//!   answered by the owning worker from its live state at a batch
+//!   boundary (ingest never stops), and drain with packet-exact
+//!   accounting.
 //! * [`server`] — the TCP daemon: accept loop, per-connection handlers
 //!   with idle timeouts and per-class reject telemetry, graceful
 //!   drain-on-shutdown.
 //! * [`client`] — what taps and operator tools link against; also the
 //!   engine under the `instameasure push` / `instameasure query` CLI.
 //! * [`detect`] — streaming anomaly detection at epoch rotation:
-//!   per-shard epoch captures merged into
-//!   [`instameasure_core::detect::EpochFeatures`], the detector suite
+//!   per-shard [`instameasure_core::detect::EpochFeatures`] captured by
+//!   each worker before its reset and merged exactly, the detector suite
 //!   run over consecutive epochs, and verdicts pushed as unsolicited
 //!   [`wire::Response::Alert`] frames to subscribed connections, with
 //!   the rotation→alert time measured in `detect.alert_latency`.
@@ -69,10 +70,10 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-// Under `--cfg loom` only the concurrency kernels compile — the model
-// checker replaces their atomics/cells with loom's types, which cannot
-// coexist with the std-threaded daemon in the same build. Tier-1 builds
-// never set the cfg and get the whole crate.
+// Under `--cfg loom` only the SPSC ring and `affinity` compile — the
+// model checker replaces the ring's atomics/cells with loom's types,
+// which cannot coexist with the std-threaded daemon in the same build.
+// Tier-1 builds never set the cfg and get the whole crate.
 pub mod affinity;
 #[cfg(not(loom))]
 pub mod client;
@@ -86,7 +87,6 @@ pub mod fuzzing;
 pub mod ring;
 #[cfg(not(loom))]
 pub mod server;
-pub mod snapshot;
 #[cfg(not(loom))]
 pub mod tune;
 #[cfg(not(loom))]

@@ -1,6 +1,7 @@
-//! Model checks for the two concurrency kernels under `--cfg loom`:
-//! the SPSC batch ring ([`instameasure_service::ring`]) and the
-//! epoch-stamped snapshot slot ([`instameasure_service::snapshot`]).
+//! Model checks for the SPSC batch ring ([`instameasure_service::ring`])
+//! under `--cfg loom`. The engine's other shared structures (lane
+//! registration and the per-shard control mailbox) are `Mutex`-ordered
+//! queues; `tests/service_lockfree.rs` is their ordering oracle.
 //!
 //! Built and run only as
 //!
@@ -8,7 +9,7 @@
 //! RUSTFLAGS="--cfg loom" cargo test -p instameasure-service --test loom_model --release
 //! ```
 //!
-//! which swaps the kernels' atomics and cells for `loom`'s modeled
+//! which swaps the ring's atomics and cells for `loom`'s modeled
 //! types (the workspace ships a schedule-perturbing shim in `shims/loom`
 //! with the same API, so the check runs in the offline container; a
 //! real `loom` crate drops in with no source change). Each `model`
@@ -17,9 +18,6 @@
 #![cfg(loom)]
 
 use instameasure_service::ring::{ring, PushError};
-use instameasure_service::snapshot::SnapshotSlot;
-use loom::sync::atomic::{AtomicU64, Ordering};
-use loom::sync::Arc;
 use loom::thread;
 
 /// FIFO transfer: everything pushed is popped exactly once, in order,
@@ -113,69 +111,5 @@ fn ring_reaps_a_dropped_producer() {
             }
         }
         assert_eq!(got, producer.join().unwrap());
-    });
-}
-
-/// Seqlock snapshot: readers racing a publisher never observe a torn
-/// pairing — the stamp in the view always matches the validated stamp,
-/// views never go backwards, and the published value is internally
-/// consistent (both halves written together).
-#[test]
-fn snapshot_readers_never_observe_torn_views() {
-    loom::model(|| {
-        let slot = Arc::new(SnapshotSlot::new((0u64, 0u64)));
-        let publisher = {
-            let slot = Arc::clone(&slot);
-            thread::spawn(move || {
-                for g in 1..=2u64 {
-                    slot.publish((g, g * 1000));
-                }
-            })
-        };
-        let reader = {
-            let slot = Arc::clone(&slot);
-            thread::spawn(move || {
-                let mut last = 0u64;
-                for _ in 0..3 {
-                    let (view, _retries) = slot.read();
-                    assert_eq!(view.stamp % 2, 0, "validated stamp must be even");
-                    let (g, scaled) = view.value;
-                    assert_eq!(scaled, g * 1000, "torn view: halves from different publishes");
-                    assert!(g >= last, "validated views must not regress");
-                    last = g;
-                }
-            })
-        };
-        publisher.join().unwrap();
-        reader.join().unwrap();
-        let (view, _) = slot.read();
-        assert_eq!(view.value, (2, 2000), "final read sees the last publication");
-    });
-}
-
-/// The engine's freshness protocol in miniature: a version counter is
-/// bumped before publishing, and a reader that saw version `v` always
-/// obtains a view at least as new as `v` once the publisher is done.
-#[test]
-fn snapshot_version_handshake_is_monotone() {
-    loom::model(|| {
-        let ver = Arc::new(AtomicU64::new(0));
-        let slot = Arc::new(SnapshotSlot::new(0u64));
-        let publisher = {
-            let (ver, slot) = (Arc::clone(&ver), Arc::clone(&slot));
-            thread::spawn(move || {
-                ver.store(1, Ordering::Release);
-                slot.publish(1);
-            })
-        };
-        let want = ver.load(Ordering::Acquire);
-        loop {
-            let (view, _) = slot.read();
-            if view.value >= want {
-                break;
-            }
-            thread::yield_now();
-        }
-        publisher.join().unwrap();
     });
 }

@@ -12,8 +12,8 @@
 //!   every worker count — sketch collision patterns shift with
 //!   sharding, so estimates may wiggle in low bits, but who gets
 //!   flagged for what may not change;
-//! * the live engine's rotation snapshots yield features bit-identical
-//!   to an offline replay of the same per-shard streams.
+//! * the features the live engine's workers capture at rotation are
+//!   bit-identical to an offline replay of the same per-shard streams.
 
 mod support;
 
@@ -181,9 +181,10 @@ fn two_epoch_windows_are_deterministic_across_batch_and_merge_order() {
 
 #[test]
 fn live_rotation_snapshots_match_offline_shard_replay_features() {
-    // The detection runtime reads rotation snapshots; those must carry
-    // exactly the state an offline replay of each shard's stream would
-    // — otherwise the batteries above prove nothing about the daemon.
+    // The detection runtime reads the features each worker captures at
+    // rotation; those must equal what an offline replay of each shard's
+    // stream yields — otherwise the batteries above prove nothing about
+    // the daemon.
     let records = attack_mix();
     for workers in test_worker_counts() {
         let registry = std::sync::Arc::new(SharedRegistry::new());
@@ -207,10 +208,10 @@ fn live_rotation_snapshots_match_offline_shard_replay_features() {
         }
 
         let outcome = engine.rotate_with_snapshots();
-        assert_eq!(outcome.snapshots.len(), workers);
+        assert_eq!(outcome.features.len(), workers);
         let mut live = EpochFeatures::default();
-        for im in &outcome.snapshots {
-            live.merge(&features_of(im));
+        for f in &outcome.features {
+            live.merge(f);
         }
         let mut offline = EpochFeatures::default();
         for s in &shard_records(&records, workers) {

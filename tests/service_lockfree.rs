@@ -1,8 +1,8 @@
 //! Concurrency battery for the lock-free thread-per-shard engine.
 //!
 //! The engine replaced per-batch mutexes with shard-owning worker
-//! threads fed by SPSC rings and queried through epoch-stamped
-//! snapshots. That buys throughput only if it costs *nothing* in
+//! threads fed by SPSC rings and queried through each worker's control
+//! mailbox. That buys throughput only if it costs *nothing* in
 //! accuracy, so this suite proves the strongest property available:
 //! under N concurrent pushers and M concurrent queriers, the final
 //! per-shard measurement is **bit-identical** to a single-threaded
@@ -13,13 +13,13 @@
 //! of a flow to one shard, and the battery partitions whole *shards*
 //! among pushers, so each shard's ring sequence is a fixed FIFO stream
 //! regardless of thread interleaving. Any divergence is therefore a
-//! bug in the ring, the drain handshake, or the snapshot protocol —
-//! not scheduling noise.
+//! bug in the ring, the drain handshake, or the mailbox protocol — not
+//! scheduling noise.
 
 mod support;
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -59,13 +59,13 @@ fn push_shards(engine: &Engine, shards: &[Vec<PacketRecord>], mine: &[usize]) {
 }
 
 /// Hammers the query surface until `stop` is raised; returns how many
-/// queries completed. Every call internally validates an epoch-stamped
-/// snapshot, so this is the reader side of the seqlock under load.
+/// queries completed. Every call is a job in the shard workers' control
+/// mailboxes, so this is the query side of the mailbox under load.
 fn hammer_queries(engine: &Engine, probe: FlowKey, stop: &AtomicBool) -> u64 {
     let mut queries = 0u64;
     while !stop.load(Ordering::Acquire) {
         let (p, b) = engine.estimate(&probe);
-        assert!(p.is_finite() && b.is_finite(), "estimates from a snapshot are always finite");
+        assert!(p.is_finite() && b.is_finite(), "estimates are always finite");
         let top = engine.top_k(8);
         assert!(top.len() <= 8);
         let _ = engine.flows();
@@ -134,11 +134,23 @@ fn mid_stream_rotation_is_bit_identical_to_offline_replay_of_the_new_epoch() {
 
         // Phase 1, then quiesce so the rotation lands at a point where
         // the offline reference is well-defined (no packets in flight).
-        push_shards(&engine, &shard_records(phase1, workers), &(0..workers).collect::<Vec<_>>());
+        let shards1 = shard_records(phase1, workers);
+        push_shards(&engine, &shards1, &(0..workers).collect::<Vec<_>>());
         let deadline = Instant::now() + Duration::from_secs(10);
         while engine.packets_processed() < phase1.len() as u64 {
             assert!(Instant::now() < deadline, "workers never caught up before rotate");
             thread::yield_now();
+        }
+
+        // Live, pre-drain answers come from the workers' live state.
+        for (w, shard) in shards1.iter().enumerate() {
+            let offline = replay(shard, cfg(FilterKind::Regulator));
+            let live = engine.debug_shard_measurement(w);
+            assert_identical_measurement(
+                &live,
+                &offline,
+                &format!("pre-rotate, {workers} workers, shard {w}"),
+            );
         }
 
         let before = engine.epoch();
@@ -167,76 +179,37 @@ fn mid_stream_rotation_is_bit_identical_to_offline_replay_of_the_new_epoch() {
 
 #[test]
 fn queries_after_drain_match_offline_replay() {
-    // Post-drain the workers are gone; queries must serve the final
-    // exact publication, not a stale or torn view.
+    // Post-drain the workers are gone; queries must serve the exact
+    // end-of-stream state the workers handed back. Queriers racing the
+    // drain must all return, whichever side of it they land on.
     let trace = caida_like(0.004, 57);
+    let probe = trace.records[0].key;
     let workers = 2;
     let shards = shard_records(&trace.records, workers);
     let (engine, _registry) = start_engine(workers, cfg(FilterKind::Regulator), 128);
     push_shards(&engine, &shards, &[0, 1]);
-    engine.drain();
+    let stop = AtomicBool::new(false);
+    let live = Barrier::new(3);
+    thread::scope(|s| {
+        for _ in 0..2 {
+            let (engine, stop, live) = (&engine, &stop, &live);
+            s.spawn(move || {
+                let _ = engine.estimate(&probe);
+                live.wait();
+                hammer_queries(engine, probe, stop)
+            });
+        }
+        // Both queriers have been answered live and keep querying while
+        // the drain closes the mailboxes underneath them.
+        live.wait();
+        engine.drain();
+        stop.store(true, Ordering::Release);
+    });
     for (w, shard) in shards.iter().enumerate() {
         let offline = replay(shard, cfg(FilterKind::Regulator));
         let live = engine.debug_shard_measurement(w);
         assert_identical_measurement(&live, &offline, &format!("post-drain shard {w}"));
     }
-}
-
-#[test]
-fn snapshot_readers_never_observe_torn_or_regressing_views() {
-    // Torn-read regression: publication is artificially slowed so the
-    // odd seqlock window is wide open, then readers hammer validated
-    // snapshot reads. Every validated view must carry an even stamp,
-    // and within one reader both the stamp and the shard version must
-    // be monotone non-decreasing — a torn read (new stamp paired with
-    // an old view, or vice versa) breaks one of those immediately.
-    let trace = caida_like(0.004, 71);
-    let probe = trace.records[0].key;
-    let (engine, registry) = start_engine(1, cfg(FilterKind::Regulator), 64);
-    engine.debug_set_publish_stall(300_000); // 300 µs inside the odd window
-
-    let stop = AtomicBool::new(false);
-    thread::scope(|s| {
-        let (engine, stop) = (&engine, &stop);
-        s.spawn(move || {
-            // Keep the worker publishing: steady ingest plus queriers
-            // requesting freshness below.
-            let mut lane = engine.lane().expect("engine is open");
-            for slice in trace.records.chunks(256) {
-                lane.submit(slice).expect("open during the hammer phase");
-                lane.flush().expect("open during the hammer phase");
-                thread::sleep(Duration::from_micros(50));
-            }
-            stop.store(true, Ordering::Release);
-        });
-        for _ in 0..3 {
-            s.spawn(move || {
-                let (mut last_stamp, mut last_ver) = (0u64, 0u64);
-                let mut reads = 0u64;
-                while !stop.load(Ordering::Acquire) {
-                    let (stamp, ver) = engine.debug_shard_view_meta(0);
-                    assert_eq!(stamp % 2, 0, "validated read returned an in-progress stamp");
-                    assert!(stamp >= last_stamp, "seqlock stamp went backwards");
-                    assert!(ver >= last_ver, "shard version went backwards: torn pairing");
-                    // Fresh queries force actual publications under the
-                    // widened window, so retries really happen.
-                    let _ = engine.estimate(&probe);
-                    (last_stamp, last_ver) = (stamp, ver);
-                    reads += 1;
-                }
-                reads
-            });
-        }
-    });
-
-    let report = engine.drain();
-    assert_eq!(report.submitted, report.processed);
-    let retries = registry.counter("service.snapshot.retries").get();
-    assert!(
-        retries > 0,
-        "publish stall was armed but no reader ever retried — the torn-read \
-         guard is not actually being exercised (retries = {retries})"
-    );
 }
 
 #[test]
@@ -283,14 +256,13 @@ fn engine_shutdown_is_idempotent_from_many_threads() {
 
 #[test]
 fn racing_rotations_never_expose_mixed_epoch_merged_views() {
-    // Regression for the rotation snapshot race: workers used to reset
-    // their shard *before* publishing the post-rotation view, so a
-    // reader merging shards mid-rotation could pair one shard's new
-    // epoch with another's retiring state — and the detection capture
-    // could lose retired flows. Under continuous ingest plus racing
-    // rotations, every consistent merged view must carry one epoch, and
-    // every snapshot rotation must account for exactly the flows it
-    // retired.
+    // Ordering oracle for the control mailbox: a reader merging shards
+    // mid-rotation must never pair one shard's new epoch with another's
+    // retiring state, and the detection capture must never lose retired
+    // flows. Multi-shard requests are queued to every shard in one
+    // order, so under continuous ingest plus racing rotations every
+    // merged view must carry one epoch, and every capturing rotation
+    // must account for exactly the flows it retired.
     let trace = caida_like(0.008, 97);
     let workers = 4;
     let shards = shard_records(&trace.records, workers);
@@ -305,16 +277,16 @@ fn racing_rotations_never_expose_mixed_epoch_merged_views() {
         }
         let (engine, stop) = (&engine, &stop);
         s.spawn(move || {
-            // The rotator: each snapshot capture must be a complete
+            // The rotator: each feature capture must be a complete
             // decomposition of what the rotation retired.
             let mut rotations = 0u64;
             while !stop.load(Ordering::Acquire) {
                 let outcome = engine.rotate_with_snapshots();
-                assert_eq!(outcome.snapshots.len(), workers);
-                let captured: u64 = outcome.snapshots.iter().map(|im| im.wsaf().len() as u64).sum();
+                assert_eq!(outcome.features.len(), workers);
+                let captured: u64 = outcome.features.iter().map(|f| f.flows() as u64).sum();
                 assert_eq!(
                     captured, outcome.retired,
-                    "rotation {rotations}: snapshots lost retired flows"
+                    "rotation {rotations}: captures lost retired flows"
                 );
                 rotations += 1;
             }
