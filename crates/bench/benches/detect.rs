@@ -2,10 +2,11 @@
 //!
 //! InstaMeasure's pitch is per-flow state fresh enough that anomaly
 //! verdicts land within ~10 ms of the triggering epoch closing. This
-//! bench runs the real daemon over loopback TCP, makes an attack
-//! resident, and times the full client-observed path per epoch: rotate
-//! request → per-shard feature capture → feature merge → detector
-//! suite → alert frame back on the subscriber's socket.
+//! bench runs the real daemon over loopback TCP at `serve`'s default
+//! geometry (a 2^20-slot WSAF per shard), makes an attack resident, and
+//! times the full client-observed path per epoch: rotate request →
+//! per-shard feature capture → feature merge → detector suite → alert
+//! frame back on the subscriber's socket.
 //!
 //! A manual timing pass writes `BENCH_detect.json` at the repo root
 //! (override with `INSTAMEASURE_BENCH_JSON`) with p50/p99/max
@@ -42,12 +43,14 @@ fn main() {
     let smoke = std::env::var("INSTAMEASURE_BENCH_SMOKE").is_ok();
     let epochs = if smoke { 20 } else { 200 };
 
+    let per_worker = InstaMeasureConfig::default();
+    let wsaf_entries = per_worker.wsaf.num_entries();
     let cfg = ServiceConfig::builder()
         .addr("127.0.0.1:0")
         .workers(2)
         .batch_size(512)
         .read_timeout(Duration::from_secs(5))
-        .per_worker(InstaMeasureConfig::default().small_for_tests())
+        .per_worker(per_worker)
         .detect(DetectionConfig { interval: None, detectors: DetectorConfig::default() })
         .build()
         .expect("static bench config is valid");
@@ -100,7 +103,8 @@ fn main() {
     let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let json = format!(
         "{{\n  \"bench\": \"detect\",\n  \"smoke\": {smoke},\n  \"cpus\": {cpus},\n  \
-         \"epochs\": {epochs},\n  \"attack\": \"horizontal_scan(200, 300)\",\n  \
+         \"epochs\": {epochs},\n  \"wsaf_entries\": {wsaf_entries},\n  \
+         \"attack\": \"horizontal_scan(200, 300)\",\n  \
          \"p50_ms\": {p50:.3},\n  \"p99_ms\": {p99:.3},\n  \"max_ms\": {max:.3},\n  \
          \"budget_ms\": {budget:.1}\n}}\n"
     );

@@ -18,6 +18,22 @@
 //!   mice flows that leaked through the FlowRegulator are pushed out,
 //!   elephants stay.
 //!
+//! # Layout
+//!
+//! The slots are a plain array of 56-byte [`FlowEntry`] values beside an
+//! occupancy bitmap, one bit per slot (128 KB at 2²⁰ slots). The bitmap
+//! is the only record of which slots are live, and the bytes of a slot
+//! whose bit is clear are never read. So:
+//!
+//! * an accumulate, lookup or removal costs O(probe window): each probe
+//!   tests the slot's bit before it touches the entry, and an empty slot
+//!   costs no DRAM access;
+//! * [`WsafTable::iter`], [`WsafTable::sweep_expired`] and everything
+//!   built on them (top-k, per-epoch feature capture, flow export) walk
+//!   the set bits in ascending slot order and cost O(live flows) plus one
+//!   word read per 64 slots;
+//! * [`WsafTable::clear`] zeroes the bitmap alone.
+//!
 //! # Example
 //!
 //! ```

@@ -83,29 +83,20 @@ pub struct WsafStats {
     pub gc_reclaims: u64,
     /// Live entries evicted by second-chance replacement.
     pub evictions: u64,
-    /// Total slots probed.
+    /// Total slots probed by [`WsafTable::accumulate`].
     pub probes: u64,
-    /// Lookups via [`WsafTable::get`].
-    pub lookups: u64,
 }
 
 impl WsafStats {
-    /// Average slots probed per accumulate/lookup — the DRAM-cost proxy.
+    /// Average slots probed per accumulate — the DRAM-cost proxy.
     #[must_use]
     pub fn probes_per_op(&self) -> f64 {
-        let ops = self.accumulates + self.lookups;
-        if ops == 0 {
+        if self.accumulates == 0 {
             0.0
         } else {
-            self.probes as f64 / ops as f64
+            self.probes as f64 / self.accumulates as f64
         }
     }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    occupied: bool,
-    entry: FlowEntry,
 }
 
 const EMPTY_ENTRY: FlowEntry = FlowEntry {
@@ -143,11 +134,30 @@ pub fn triangular_probe_slot(base: u64, i: u64, capacity: usize) -> usize {
     ((base.wrapping_add(offset)) & (capacity as u64 - 1)) as usize
 }
 
+/// Positions of the set bits of `word`, ascending.
+#[inline]
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
+}
+
 /// The working set of active flows (see crate docs).
+///
+/// Occupancy lives only in `occupied`, one bit per slot. The bytes of an
+/// entry whose bit is clear are stale and never read: every path that
+/// sets a bit writes the whole entry first, so [`WsafTable::clear`]
+/// zeroes the bitmap and leaves `entries` as they are.
 #[derive(Debug, Clone)]
 pub struct WsafTable {
     cfg: WsafConfig,
-    slots: Vec<Slot>,
+    entries: Vec<FlowEntry>,
+    /// Bit `i % 64` of word `i / 64` is set iff slot `i` holds a live entry.
+    occupied: Vec<u64>,
     live: usize,
     stats: WsafStats,
     /// Distribution of slots probed per [`WsafTable::accumulate`] — the
@@ -159,9 +169,11 @@ impl WsafTable {
     /// Creates an empty table.
     #[must_use]
     pub fn new(cfg: WsafConfig) -> Self {
+        let slots = cfg.num_entries();
         WsafTable {
             cfg,
-            slots: vec![Slot { occupied: false, entry: EMPTY_ENTRY }; cfg.num_entries()],
+            entries: vec![EMPTY_ENTRY; slots],
+            occupied: vec![0; slots.div_ceil(64)],
             live: 0,
             stats: WsafStats::default(),
             probe_hist: LogHistogram::new(),
@@ -189,7 +201,7 @@ impl WsafTable {
     /// Live entries divided by capacity.
     #[must_use]
     pub fn load_factor(&self) -> f64 {
-        self.live as f64 / self.slots.len() as f64
+        self.live as f64 / self.entries.len() as f64
     }
 
     /// Operation counters.
@@ -216,20 +228,28 @@ impl WsafTable {
         digest.lane(self.cfg.seed())
     }
 
-    /// Hints the CPU to pull the first probe slot of hash `h` toward L1
-    /// cache. Purely advisory; the batched accumulate loop issues this for
-    /// deposit `i + K` while finishing deposit `i`.
+    /// Hints the CPU to pull the first probe slot of hash `h` — its
+    /// occupancy word and its entry — toward L1 cache. Purely advisory;
+    /// the batched accumulate loop issues this for deposit `i + K` while
+    /// finishing deposit `i`.
     #[inline]
     pub fn prefetch_hashed(&self, h: u64) {
-        let idx = triangular_probe_slot(h, 0, self.slots.len());
-        prefetch::prefetch_read_index(&self.slots, idx);
+        let idx = triangular_probe_slot(h, 0, self.entries.len());
+        prefetch::prefetch_read_index(&self.occupied, idx / 64);
+        prefetch::prefetch_read_index(&self.entries, idx);
     }
 
     /// The probe sequence: triangular quadratic `base + (i + i²)/2 mod m`.
     /// With `m` a power of two this visits every slot over a full cycle.
     #[inline]
     fn probe_index(&self, base: u64, i: usize) -> usize {
-        triangular_probe_slot(base, i as u64, self.slots.len())
+        triangular_probe_slot(base, i as u64, self.entries.len())
+    }
+
+    /// Whether slot `idx` holds a live entry.
+    #[inline]
+    fn is_live(&self, idx: usize) -> bool {
+        self.occupied[idx / 64] & (1 << (idx % 64)) != 0
     }
 
     /// Accumulates `(est_pkts, est_bytes)` into the flow's entry, creating
@@ -271,24 +291,23 @@ impl WsafTable {
             let idx = self.probe_index(h, i);
             *probed_slot = idx;
             self.stats.probes += 1;
-            let slot = &mut self.slots[idx];
-            if !slot.occupied {
+            if !self.is_live(idx) {
                 if first_empty.is_none() {
                     first_empty = Some(idx);
                 }
                 continue;
             }
-            if slot.entry.flow_id == flow_id && slot.entry.key == *key {
-                slot.entry.packets += est_pkts;
-                slot.entry.bytes += est_bytes;
-                slot.entry.last_ts = ts;
-                slot.entry.referenced = true;
+            let entry = &mut self.entries[idx];
+            if entry.flow_id == flow_id && entry.key == *key {
+                entry.packets += est_pkts;
+                entry.bytes += est_bytes;
+                entry.last_ts = ts;
+                entry.referenced = true;
                 self.stats.updates += 1;
                 self.probe_hist.observe(i as u64 + 1);
                 return AccumulateOutcome::Updated;
             }
-            if expired.is_none() && ts.saturating_sub(slot.entry.last_ts) > self.cfg.expiry_nanos()
-            {
+            if expired.is_none() && ts.saturating_sub(entry.last_ts) > self.cfg.expiry_nanos() {
                 expired = Some(idx);
             }
         }
@@ -306,17 +325,20 @@ impl WsafTable {
         };
 
         if let Some(idx) = first_empty {
-            self.slots[idx] = Slot { occupied: true, entry: fresh };
+            self.entries[idx] = fresh;
+            self.occupied[idx / 64] |= 1 << (idx % 64);
             self.live += 1;
             self.stats.inserts += 1;
             return AccumulateOutcome::Inserted;
         }
 
+        // From here on the window is full: every probed slot is live.
+
         // Garbage collection: reclaim an expired entry if the window holds
         // one (paper: GC piggybacks on the insertion probe).
         if let Some(idx) = expired {
-            let evicted = self.slots[idx].entry.key;
-            self.slots[idx].entry = fresh;
+            let evicted = self.entries[idx].key;
+            self.entries[idx] = fresh;
             self.stats.gc_reclaims += 1;
             self.stats.inserts += 1;
             return AccumulateOutcome::InsertedAfterGc { evicted };
@@ -329,7 +351,7 @@ impl WsafTable {
                 // so the window's entries must re-earn their stay.
                 let mut victim: Option<(usize, f64)> = None;
                 for &idx in &probed[..window] {
-                    let entry = &mut self.slots[idx].entry;
+                    let entry = &mut self.entries[idx];
                     if entry.referenced {
                         entry.referenced = false; // second chance spent
                     } else if victim.is_none_or(|(_, p)| entry.packets < p) {
@@ -347,8 +369,8 @@ impl WsafTable {
                 self.window_min(&probed[..window], |e| e.last_ts as f64).0
             }
         };
-        let old = self.slots[idx].entry;
-        self.slots[idx].entry = fresh;
+        let old = self.entries[idx];
+        self.entries[idx] = fresh;
         self.stats.evictions += 1;
         self.stats.inserts += 1;
         AccumulateOutcome::InsertedAfterEviction { evicted: old.key, evicted_packets: old.packets }
@@ -358,7 +380,7 @@ impl WsafTable {
     fn window_min(&self, window: &[usize], metric: impl Fn(&FlowEntry) -> f64) -> (usize, f64) {
         let mut best = (window[0], f64::INFINITY);
         for &idx in window {
-            let m = metric(&self.slots[idx].entry);
+            let m = metric(&self.entries[idx]);
             if m < best.1 {
                 best = (idx, m);
             }
@@ -384,6 +406,18 @@ impl WsafTable {
         }
     }
 
+    /// The slot holding `key`'s live entry, if its probe window has one.
+    /// Each probe tests the occupancy bit before it touches the entry.
+    #[inline]
+    fn find(&self, key: &FlowKey, h: u64) -> Option<usize> {
+        let flow_id = (h >> 32) as u32;
+        (0..self.cfg.probe_limit()).map(|i| self.probe_index(h, i)).find(|&idx| {
+            self.is_live(idx)
+                && self.entries[idx].flow_id == flow_id
+                && self.entries[idx].key == *key
+        })
+    }
+
     /// Looks up a flow's entry (does not touch the reference bit).
     #[must_use]
     pub fn get(&self, key: &FlowKey) -> Option<&FlowEntry> {
@@ -396,15 +430,7 @@ impl WsafTable {
     #[inline]
     #[must_use]
     pub fn get_hashed(&self, key: &FlowKey, h: u64) -> Option<&FlowEntry> {
-        let flow_id = (h >> 32) as u32;
-        for i in 0..self.cfg.probe_limit() {
-            let idx = self.probe_index(h, i);
-            let slot = &self.slots[idx];
-            if slot.occupied && slot.entry.flow_id == flow_id && slot.entry.key == *key {
-                return Some(&slot.entry);
-            }
-        }
-        None
+        self.find(key, h).map(|idx| &self.entries[idx])
     }
 
     /// Removes a flow's entry, returning it if present.
@@ -415,22 +441,21 @@ impl WsafTable {
     /// [`WsafTable::remove`] with the probe hash already computed (`h`
     /// must equal `self.hash_key(key)`).
     pub fn remove_hashed(&mut self, key: &FlowKey, h: u64) -> Option<FlowEntry> {
-        let flow_id = (h >> 32) as u32;
-        for i in 0..self.cfg.probe_limit() {
-            let idx = self.probe_index(h, i);
-            let slot = &mut self.slots[idx];
-            if slot.occupied && slot.entry.flow_id == flow_id && slot.entry.key == *key {
-                slot.occupied = false;
-                self.live -= 1;
-                return Some(slot.entry);
-            }
-        }
-        None
+        let idx = self.find(key, h)?;
+        self.occupied[idx / 64] &= !(1 << (idx % 64));
+        self.live -= 1;
+        Some(self.entries[idx])
     }
 
-    /// Iterates over all live entries in arbitrary order.
+    /// Iterates over all live entries in ascending slot order. Walks the
+    /// set bits of the occupancy bitmap, so the cost is O(live entries)
+    /// plus one word read per 64 slots.
     pub fn iter(&self) -> impl Iterator<Item = &FlowEntry> {
-        self.slots.iter().filter(|s| s.occupied).map(|s| &s.entry)
+        self.occupied
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| set_bits(word).map(move |bit| w * 64 + bit))
+            .map(|idx| &self.entries[idx])
     }
 
     /// The `k` largest flows by packet count, descending.
@@ -453,14 +478,18 @@ impl WsafTable {
     }
 
     /// Removes every entry idle longer than the expiry at time `now`
-    /// (a full sweep, for tests and explicit maintenance; normal operation
-    /// relies on the lazy GC inside [`WsafTable::accumulate`]).
+    /// (a walk of the live entries, for tests and explicit maintenance;
+    /// normal operation relies on the lazy GC inside
+    /// [`WsafTable::accumulate`]).
     pub fn sweep_expired(&mut self, now: u64) -> usize {
+        let expiry = self.cfg.expiry_nanos();
         let mut removed = 0;
-        for slot in &mut self.slots {
-            if slot.occupied && now.saturating_sub(slot.entry.last_ts) > self.cfg.expiry_nanos() {
-                slot.occupied = false;
-                removed += 1;
+        for (w, word) in self.occupied.iter_mut().enumerate() {
+            for bit in set_bits(*word) {
+                if now.saturating_sub(self.entries[w * 64 + bit].last_ts) > expiry {
+                    *word &= !(1 << bit);
+                    removed += 1;
+                }
             }
         }
         self.live -= removed;
@@ -468,11 +497,10 @@ impl WsafTable {
         removed
     }
 
-    /// Clears all entries and statistics.
+    /// Clears all entries and statistics. Only the occupancy bitmap is
+    /// zeroed; the stale entry bytes are overwritten when a slot is reused.
     pub fn clear(&mut self) {
-        for slot in &mut self.slots {
-            slot.occupied = false;
-        }
+        self.occupied.fill(0);
         self.live = 0;
         self.stats = WsafStats::default();
         self.probe_hist.reset();
@@ -483,9 +511,9 @@ impl Instrumented for WsafTable {
     /// Exports the table's counters under the `wsaf.` prefix.
     ///
     /// Counters: `accumulates`, `updates`, `inserts`, `gc_reclaims`,
-    /// `evictions`, `probes`, `lookups`, `live_entries`. Histogram:
-    /// `probe_len` (slots probed per accumulate). Gauges: `load_factor`,
-    /// `probes_per_op`.
+    /// `evictions`, `probes`, `live_entries`. Histogram: `probe_len`
+    /// (slots probed per accumulate). Gauges: `load_factor`,
+    /// `probes_per_op` (mean slots probed per accumulate).
     fn telemetry(&self) -> Snapshot {
         let mut snap = Snapshot::new();
         snap.set_counter("wsaf.accumulates", self.stats.accumulates);
@@ -494,7 +522,6 @@ impl Instrumented for WsafTable {
         snap.set_counter("wsaf.gc_reclaims", self.stats.gc_reclaims);
         snap.set_counter("wsaf.evictions", self.stats.evictions);
         snap.set_counter("wsaf.probes", self.stats.probes);
-        snap.set_counter("wsaf.lookups", self.stats.lookups);
         snap.set_counter("wsaf.live_entries", self.live as u64);
         snap.set_histogram("wsaf.probe_len", self.probe_hist.snapshot());
         snap.set_gauge("wsaf.load_factor", self.load_factor());
@@ -529,7 +556,7 @@ mod tests {
         // Triangular probing over a power-of-two table is a permutation.
         for log2 in [4u32, 6, 8] {
             let t = small(log2, 1);
-            let m = t.slots.len();
+            let m = t.entries.len();
             let mut seen = vec![false; m];
             for i in 0..m {
                 seen[t.probe_index(12345, i)] = true;
@@ -676,6 +703,21 @@ mod tests {
     }
 
     #[test]
+    fn iter_walks_live_slots_in_ascending_order() {
+        // 2^7 slots span two bitmap words.
+        let mut t = small(7, 8);
+        for i in 0..90 {
+            t.accumulate(&key(i), 1.0, 0.0, 0);
+        }
+        t.remove(&key(3));
+        let slots: Vec<usize> =
+            t.iter().map(|e| t.find(&e.key, t.hash_key(&e.key)).unwrap()).collect();
+        assert_eq!(slots.len(), t.len());
+        assert!(slots.windows(2).all(|w| w[0] < w[1]), "slot order: {slots:?}");
+        assert!(slots.iter().any(|&s| s >= 64), "the walk crosses into the second word");
+    }
+
+    #[test]
     fn sweep_expired_removes_idle_flows() {
         let mut t = small(8, 8);
         t.accumulate(&key(1), 1.0, 0.0, 0);
@@ -693,6 +735,11 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.stats(), WsafStats::default());
         assert_eq!(t.load_factor(), 0.0);
+        // The entry's bytes stay behind a clear bit and are never read.
+        assert!(t.get(&key(1)).is_none());
+        assert_eq!(t.iter().count(), 0);
+        assert!(matches!(t.accumulate(&key(1), 2.0, 0.0, 5), AccumulateOutcome::Inserted));
+        assert_eq!(t.get(&key(1)).unwrap().first_ts, 5);
     }
 
     #[test]

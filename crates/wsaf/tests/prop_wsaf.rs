@@ -2,12 +2,61 @@
 //! evicted, and never corrupts state under arbitrary workloads.
 
 use instameasure_packet::{FlowKey, Protocol};
-use instameasure_wsaf::{AccumulateOutcome, WsafConfig, WsafTable};
+use instameasure_wsaf::{AccumulateOutcome, FlowEntry, WsafConfig, WsafTable};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
 fn key(i: u32) -> FlowKey {
     FlowKey::new(i.to_be_bytes(), (i.rotate_left(13)).to_be_bytes(), 1, 2, Protocol::Udp)
+}
+
+/// Flows the clear-versus-fresh ops draw from: few enough that the two
+/// op lists share keys, many enough to overflow a 16-slot table.
+const FLOWS: u32 = 40;
+
+/// One table operation; `dt` advances the clock before it runs.
+#[derive(Debug, Clone)]
+enum Op {
+    Accumulate { flow: u32, pkts: f64, dt: u64 },
+    Remove { flow: u32 },
+    Sweep { dt: u64 },
+}
+
+/// What one [`Op`] returned.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Accumulated(AccumulateOutcome),
+    Removed(Option<FlowEntry>),
+    Swept(usize),
+}
+
+/// Six accumulates to two removes to one sweep.
+fn op() -> impl Strategy<Value = Op> {
+    (0u8..9, 0..FLOWS, 0.5f64..50.0, 0u64..20).prop_map(|(kind, flow, pkts, dt)| match kind {
+        0..=5 => Op::Accumulate { flow, pkts, dt },
+        6 | 7 => Op::Remove { flow },
+        _ => Op::Sweep { dt: dt * 3 },
+    })
+}
+
+/// Runs `ops` with the clock starting at `now`; returns every outcome and
+/// the clock after the last op.
+fn replay(table: &mut WsafTable, ops: &[Op], mut now: u64) -> (Vec<Outcome>, u64) {
+    let outcomes = ops
+        .iter()
+        .map(|op| match *op {
+            Op::Accumulate { flow, pkts, dt } => {
+                now += dt;
+                Outcome::Accumulated(table.accumulate(&key(flow), pkts, pkts * 64.0, now))
+            }
+            Op::Remove { flow } => Outcome::Removed(table.remove(&key(flow))),
+            Op::Sweep { dt } => {
+                now += dt;
+                Outcome::Swept(table.sweep_expired(now))
+            }
+        })
+        .collect();
+    (outcomes, now)
 }
 
 proptest! {
@@ -124,6 +173,42 @@ proptest! {
         if let Some(head) = top.first() {
             let max = table.iter().map(|e| e.packets).fold(0.0, f64::max);
             prop_assert_eq!(head.packets, max);
+        }
+    }
+
+    #[test]
+    fn a_cleared_table_replays_like_a_fresh_one(
+        a in prop::collection::vec(op(), 0..300),
+        b in prop::collection::vec(op(), 1..300),
+    ) {
+        // `clear` zeroes only the occupancy bitmap, so A leaves stale entry
+        // bytes behind. B must not be able to tell: 16 slots and a short
+        // expiry make B cross inserts, updates, GC reclaims, evictions,
+        // removals and sweeps over the slots A dirtied.
+        let table = || {
+            WsafTable::new(
+                WsafConfig::builder()
+                    .entries_log2(4)
+                    .probe_limit(8)
+                    .expiry_nanos(50)
+                    .build()
+                    .unwrap(),
+            )
+        };
+        let mut cleared = table();
+        let (_, end_of_a) = replay(&mut cleared, &a, 0);
+        cleared.clear();
+        let mut fresh = table();
+
+        let (got, _) = replay(&mut cleared, &b, end_of_a);
+        let (want, _) = replay(&mut fresh, &b, end_of_a);
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(cleared.stats(), fresh.stats());
+        prop_assert_eq!(cleared.iter().collect::<Vec<_>>(), fresh.iter().collect::<Vec<_>>());
+        prop_assert_eq!(cleared.top_k_by_packets(16), fresh.top_k_by_packets(16));
+        // Every key A or B can name.
+        for flow in 0..FLOWS {
+            prop_assert_eq!(cleared.get(&key(flow)), fresh.get(&key(flow)), "flow {}", flow);
         }
     }
 }

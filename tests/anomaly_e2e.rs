@@ -34,6 +34,7 @@ fn alert_budget() -> Duration {
 
 fn start_detect_with(
     workers: usize,
+    per_worker: InstaMeasureConfig,
     interval: Option<Duration>,
     detectors: DetectorConfig,
 ) -> Server {
@@ -42,7 +43,7 @@ fn start_detect_with(
         .workers(workers)
         .batch_size(256)
         .read_timeout(Duration::from_secs(5))
-        .per_worker(InstaMeasureConfig::default().small_for_tests())
+        .per_worker(per_worker)
         .detect(DetectionConfig { interval, detectors })
         .build()
         .expect("static test config is valid");
@@ -50,7 +51,12 @@ fn start_detect_with(
 }
 
 fn start_detect(workers: usize) -> Server {
-    start_detect_with(workers, None, DetectorConfig::default())
+    start_detect_with(
+        workers,
+        InstaMeasureConfig::default().small_for_tests(),
+        None,
+        DetectorConfig::default(),
+    )
 }
 
 /// A subscriber connection with a short read timeout, so "no alert"
@@ -120,7 +126,11 @@ fn benign_baseline_raises_zero_alerts_across_epochs() {
 
 #[test]
 fn syn_flood_raises_a_ddos_victim_alert_within_budget() {
-    let server = start_detect(2);
+    // `serve`'s default geometry (a 2^20-slot WSAF per shard): the budget
+    // must hold at the table size a daemon boots with, where an epoch
+    // close that walked every slot would blow it.
+    let server =
+        start_detect_with(2, InstaMeasureConfig::default(), None, DetectorConfig::default());
     let mut tap = ServiceClient::connect(server.local_addr()).unwrap();
     let mut sub = subscriber(&server, 0);
 
@@ -198,7 +208,8 @@ fn collision_flood_is_detected_despite_probe_chain_stress() {
     // detection keeps working while the table's probe chains are
     // maximally stressed, not that default thresholds cover it.
     let detectors = DetectorConfig { spreader_fanout: 12, ..DetectorConfig::default() };
-    let server = start_detect_with(2, None, detectors);
+    let server =
+        start_detect_with(2, InstaMeasureConfig::default().small_for_tests(), None, detectors);
     let mut tap = ServiceClient::connect(server.local_addr()).unwrap();
     let mut sub = subscriber(&server, 0);
 
@@ -354,7 +365,12 @@ fn periodic_interval_delivers_alerts_without_protocol_rotates() {
     // The daemon's own epoch clock closes epochs; nobody sends Rotate.
     // A rotation may land mid-push and split the scan across epochs, so
     // the push retries until an epoch holds the whole scan.
-    let server = start_detect_with(2, Some(Duration::from_millis(200)), DetectorConfig::default());
+    let server = start_detect_with(
+        2,
+        InstaMeasureConfig::default().small_for_tests(),
+        Some(Duration::from_millis(200)),
+        DetectorConfig::default(),
+    );
     let mut sub = subscriber(&server, 0);
     let mut tap = ServiceClient::connect(server.local_addr()).unwrap();
 
