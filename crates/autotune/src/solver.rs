@@ -436,8 +436,10 @@ fn wsaf_log2_for(flows: u64, target: &TuneTarget) -> Option<u32> {
         TuneTarget::Accuracy { epsilon, .. } => (7.0 * epsilon).min(0.7),
         TuneTarget::Throughput => 0.7,
     };
+    // The float-to-int cast saturates, so a huge flow count can need a
+    // table beyond 2^63 slots: no power of two fits, and that refuses.
     let required = (flows.max(1) as f64 / load_cap).ceil() as u64;
-    let log2 = 64 - required.next_power_of_two().leading_zeros() - 1;
+    let log2 = required.checked_next_power_of_two()?.trailing_zeros();
     if log2 > 26 {
         return None;
     }

@@ -262,7 +262,18 @@ mod tests {
         let measured = paper.with_access_nanos(100.0);
         assert_eq!(measured.access_nanos(), 100.0);
         assert!((measured.margin() - paper.margin() * 0.8).abs() < 1e-9);
-        assert!(measured.max_feasible_regulation() < paper.max_feasible_regulation());
+        // At 1 Mpps either latency could absorb every packet: the tolerable
+        // regulation rate is a fraction, so both sit at the 1.0 clamp.
+        assert_eq!(measured.max_feasible_regulation(), 1.0);
+        assert_eq!(paper.max_feasible_regulation(), 1.0);
+        // At a line rate where the clamp does not bind, the slower memory
+        // tolerates proportionally less regulation.
+        let line = MarginAnalysis::new(59.5e6, 0.05, MemoryTechnology::Dram);
+        let slower = line.with_access_nanos(100.0);
+        assert!(line.max_feasible_regulation() < 1.0);
+        assert!(slower.max_feasible_regulation() < line.max_feasible_regulation());
+        let ratio = slower.max_feasible_regulation() / line.max_feasible_regulation();
+        assert!((ratio - 0.8).abs() < 1e-9, "ratio {ratio}");
     }
 
     #[test]

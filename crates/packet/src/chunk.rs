@@ -56,6 +56,10 @@ use crate::{FlowKey, PacketRecord, ParseError, Protocol};
 /// that refills — and the tail-carry copy each refill implies — are rare.
 pub const DEFAULT_CHUNK_SIZE: usize = 4 << 20;
 
+/// Fewest file bytes a record that parses can occupy: the 16-byte record
+/// header, an Ethernet header and a 20-byte minimal IPv4 header.
+const MIN_PARSED_RECORD_BYTES: usize = 16 + crate::parse::ETHERNET_HEADER_LEN + 20;
+
 /// One packet record borrowed out of the reader's current chunk. Valid
 /// until the next call that advances the reader.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -260,6 +264,7 @@ impl<R: Read> PcapChunkReader<R> {
     /// Returns [`PcapError::Format`] on a truncated record header or body, a
     /// capture length above the file's limit, or a zero-length record, and
     /// [`PcapError::Io`] on a read failure of the fallback path.
+    #[inline]
     pub fn next_view(&mut self) -> Result<Option<PacketView<'_>>, PcapError> {
         match self.src {
             Source::Mapped { .. } => self.next_view_mapped(),
@@ -267,6 +272,7 @@ impl<R: Read> PcapChunkReader<R> {
         }
     }
 
+    #[inline]
     fn next_view_mapped(&mut self) -> Result<Option<PacketView<'_>>, PcapError> {
         let (swapped, resolution, limit) = (self.swapped, self.resolution, self.limit);
         let Source::Mapped { map, pos } = &mut self.src else { unreachable!() };
@@ -375,6 +381,7 @@ impl<R: Read> PcapChunkReader<R> {
 ///
 /// Returns the same [`ParseError`] [`crate::parse::parse_ethernet`] would
 /// for the frame bytes; `out` is untouched on error.
+#[inline]
 pub fn parse_packet_view(
     view: &PacketView<'_>,
     base_ts: u64,
@@ -464,6 +471,7 @@ impl<R: Read> RecordStream<R> {
 impl<R: Read> Iterator for RecordStream<R> {
     type Item = PacketRecord;
 
+    #[inline]
     fn next(&mut self) -> Option<PacketRecord> {
         if self.error.is_some() {
             return None;
@@ -503,8 +511,14 @@ impl<R: Read> Iterator for RecordStream<R> {
 /// truncated or corrupt record); per-packet parse failures are tolerated
 /// and counted in the second tuple element.
 pub fn read_records_mmap(path: impl AsRef<Path>) -> Result<(Vec<PacketRecord>, u64), PcapError> {
-    let mut stream = RecordStream::new(PcapChunkReader::open(path)?);
-    let records: Vec<PacketRecord> = stream.by_ref().collect();
+    let reader = PcapChunkReader::open(path)?;
+    // Every record that parses takes at least a record header, an
+    // Ethernet header and an IPv4 header, so this bound on the output
+    // length never reallocates (untouched capacity is never faulted in).
+    let upper = reader.stats().bytes_mapped as usize / MIN_PARSED_RECORD_BYTES;
+    let mut records = Vec::with_capacity(upper);
+    let mut stream = RecordStream::new(reader);
+    records.extend(stream.by_ref());
     let (skipped, _) = stream.finish()?;
     Ok((records, skipped))
 }

@@ -13,7 +13,7 @@
 //! v6 flows mix naturally with v4 flows in the same WSAF.
 
 use crate::hash::bytes_hash64;
-use crate::parse::take;
+use crate::parse::{need, take};
 use crate::{FlowKey, ParseError, Protocol};
 
 /// EtherType for IPv6.
@@ -41,14 +41,6 @@ pub struct ParsedV6 {
 #[must_use]
 pub fn map_v6_addr(addr: &[u8; 16]) -> [u8; 4] {
     ((bytes_hash64(addr, V6_MAP_SEED) >> 32) as u32).to_be_bytes()
-}
-
-fn need(layer: &'static str, buf: &[u8], n: usize) -> Result<(), ParseError> {
-    if buf.len() < n {
-        Err(ParseError::Truncated { layer, needed: n, available: buf.len() })
-    } else {
-        Ok(())
-    }
 }
 
 /// Parses an IPv6 packet (starting at the IPv6 header) down to the mapped

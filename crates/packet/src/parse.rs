@@ -26,7 +26,9 @@ pub struct ParsedPacket {
     pub vlan_tags: u8,
 }
 
-fn need(layer: &'static str, buf: &[u8], n: usize) -> Result<(), ParseError> {
+/// Checks that `buf` holds at least `n` bytes.
+#[inline]
+pub(crate) fn need(layer: &'static str, buf: &[u8], n: usize) -> Result<(), ParseError> {
     if buf.len() < n {
         Err(ParseError::Truncated { layer, needed: n, available: buf.len() })
     } else {
@@ -37,15 +39,16 @@ fn need(layer: &'static str, buf: &[u8], n: usize) -> Result<(), ParseError> {
 /// Borrows the `N` bytes at `buf[offset..offset + N]` as a fixed-size array,
 /// or reports how many bytes past `offset` were actually available. Checked
 /// `get` all the way down: no offset, however hostile the input, can panic.
+/// The error is built only on the failure path, so a successful `take`
+/// costs one bounds check.
+#[inline]
 pub(crate) fn take<'a, const N: usize>(
     layer: &'static str,
     buf: &'a [u8],
     offset: usize,
 ) -> Result<&'a [u8; N], ParseError> {
-    buf.get(offset..).and_then(|rest| rest.first_chunk::<N>()).ok_or(ParseError::Truncated {
-        layer,
-        needed: N,
-        available: buf.len().saturating_sub(offset),
+    buf.get(offset..).and_then(|rest| rest.first_chunk::<N>()).ok_or_else(|| {
+        ParseError::Truncated { layer, needed: N, available: buf.len().saturating_sub(offset) }
     })
 }
 
@@ -67,6 +70,7 @@ pub(crate) fn take<'a, const N: usize>(
 /// assert_eq!(parsed.key, key);
 /// # Ok::<(), instameasure_packet::ParseError>(())
 /// ```
+#[inline]
 pub fn parse_ethernet(frame: &[u8]) -> Result<ParsedPacket, ParseError> {
     need("ethernet", frame, ETHERNET_HEADER_LEN)?;
     let mut offset = 12;
@@ -110,6 +114,7 @@ pub fn parse_ethernet(frame: &[u8]) -> Result<ParsedPacket, ParseError> {
 ///
 /// Returns [`ParseError`] on truncation, a version nibble ≠ 4, or an IHL
 /// below 5.
+#[inline]
 pub fn parse_ipv4(buf: &[u8]) -> Result<ParsedPacket, ParseError> {
     let hdr = take::<20>("ipv4", buf, 0)?;
     let version = hdr[0] >> 4;

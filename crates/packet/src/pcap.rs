@@ -170,6 +170,7 @@ pub(crate) struct RecordHeader {
 
 /// Decodes a record header and rejects the corrupt shapes: a caplen above
 /// the file's limit, and the all-zero-length record of a zeroed file tail.
+#[inline]
 pub(crate) fn parse_record_header(
     hdr: &[u8; 16],
     swapped: bool,

@@ -17,8 +17,8 @@ use instameasure_core::detect::Anomaly;
 use instameasure_packet::{FlowKey, PacketRecord};
 
 use crate::wire::{
-    frame_wire_len, read_frame, write_frame, Frame, PlanReport, Request, Response, StatusReport,
-    TopFlow, WireError, DEFAULT_MAX_PAYLOAD,
+    encode_ingest_frame, frame_wire_len, read_frame, write_frame, PlanReport, Request, Response,
+    StatusReport, TopFlow, WireError, DEFAULT_MAX_PAYLOAD,
 };
 
 /// Records per ingest frame pushed by [`ServiceClient::push_records`]:
@@ -92,6 +92,9 @@ pub struct ServiceClient {
     /// park them here and [`ServiceClient::next_alert`] drains them in
     /// arrival order.
     pending_alerts: VecDeque<(u64, Anomaly)>,
+    /// The buffer every pushed ingest frame is encoded into, reused from
+    /// batch to batch.
+    ingest_frame: Vec<u8>,
 }
 
 impl ServiceClient {
@@ -123,16 +126,13 @@ impl ServiceClient {
             reader: BufReader::new(read_half),
             writer: BufWriter::new(stream),
             pending_alerts: VecDeque::new(),
+            ingest_frame: Vec::new(),
         })
     }
 
-    fn send_frame(&mut self, frame: &Frame) -> Result<(), ClientError> {
-        write_frame(&mut self.writer, frame.opcode, &frame.payload)?;
-        Ok(())
-    }
-
     fn roundtrip(&mut self, request: &Request) -> Result<Response, ClientError> {
-        self.send_frame(&request.encode())?;
+        let frame = request.encode();
+        write_frame(&mut self.writer, frame.opcode, &frame.payload)?;
         self.writer.flush().map_err(WireError::Io)?;
         loop {
             match read_frame(&mut self.reader, DEFAULT_MAX_PAYLOAD)? {
@@ -157,13 +157,18 @@ impl ServiceClient {
     }
 
     /// Streams one unacknowledged ingest batch (callers chunk; prefer
-    /// [`ServiceClient::push_records`] for whole traces).
+    /// [`ServiceClient::push_records`] for whole traces). The frame is
+    /// encoded straight from `records` into the connection's reused
+    /// frame buffer and handed to the socket in one write.
     ///
     /// # Errors
     ///
     /// Returns [`ClientError::Wire`] on transport failures.
     pub fn push_batch(&mut self, records: &[PacketRecord]) -> Result<(), ClientError> {
-        self.send_frame(&Request::IngestBatch(records.to_vec()).encode())
+        self.ingest_frame.clear();
+        encode_ingest_frame(records, &mut self.ingest_frame);
+        self.writer.write_all(&self.ingest_frame)?;
+        Ok(())
     }
 
     /// Pushes a whole trace in [`PUSH_CHUNK_RECORDS`]-sized frames, then
@@ -337,5 +342,48 @@ impl ServiceClient {
     pub fn bytes_per_record() -> f64 {
         let payload = 4 + PUSH_CHUNK_RECORDS * PacketRecord::WIRE_BYTES;
         frame_wire_len(payload) as f64 / PUSH_CHUNK_RECORDS as f64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+    use std::net::TcpListener;
+
+    use instameasure_packet::Protocol;
+
+    fn records(n: usize) -> Vec<PacketRecord> {
+        (0..n)
+            .map(|i| {
+                let key =
+                    FlowKey::new([10, 0, 0, i as u8], [10, 0, 1, 1], 40_000, 53, Protocol::Udp);
+                PacketRecord::new(key, 80 + i as u16, i as u64)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pushed_frames_are_the_request_encoding_byte_for_byte() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let batches = [records(PUSH_CHUNK_RECORDS), records(5), records(0), records(700)];
+        let mut expected = Vec::new();
+        for batch in &batches {
+            let frame = Request::IngestBatch(batch.clone()).encode();
+            write_frame(&mut expected, frame.opcode, &frame.payload).unwrap();
+        }
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut got = Vec::new();
+            stream.read_to_end(&mut got).unwrap();
+            got
+        });
+        let mut client = ServiceClient::connect(addr).unwrap();
+        for batch in &batches {
+            client.push_batch(batch).unwrap();
+        }
+        drop(client);
+        assert_eq!(peer.join().unwrap(), expected);
     }
 }

@@ -881,15 +881,31 @@ impl IngestLane {
     /// Returns [`EngineClosed`] if the engine drained underneath the
     /// lane; records of the failed call are not counted as accepted.
     pub fn submit(&mut self, records: &[PacketRecord]) -> Result<(), EngineClosed> {
+        self.submit_iter(records.iter().copied())
+    }
+
+    /// [`IngestLane::submit`] for records produced on the fly: the
+    /// server decodes an ingest frame's records from its socket buffer
+    /// straight into the per-shard buffers, with no intermediate batch.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`IngestLane::submit`].
+    pub(crate) fn submit_iter(
+        &mut self,
+        records: impl IntoIterator<Item = PacketRecord>,
+    ) -> Result<(), EngineClosed> {
         let workers = self.ports.len();
+        let mut n = 0u64;
         for pkt in records {
             let w = worker_for(&pkt.key, workers);
-            self.pending[w].push(*pkt);
+            self.pending[w].push(pkt);
+            n += 1;
             if self.pending[w].len() == self.batch_size {
                 self.ship(w)?;
             }
         }
-        self.accepted += records.len() as u64;
+        self.accepted += n;
         Ok(())
     }
 

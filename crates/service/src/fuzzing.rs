@@ -6,16 +6,40 @@
 //! with a bounded deterministic mutation budget in ordinary stable-Rust
 //! CI.
 
-use crate::wire::{read_frame, write_frame, Frame, Request, Response, DEFAULT_MAX_PAYLOAD};
+use crate::wire::{
+    decode_ingest_payload, read_frame, read_frame_into, write_frame, Frame, Opcode, Request,
+    Response, DEFAULT_MAX_PAYLOAD,
+};
 
 /// Feeds arbitrary bytes to the frame reader and both message decoders.
 /// Whatever decodes successfully must re-encode to a frame that decodes
 /// to the same message (round-trip stability on the surviving subset).
+/// The server's path — every frame read into one reused buffer, ingest
+/// records decoded straight from it — must see exactly the frames and
+/// records the allocating reader and [`Request::decode`] see.
 pub fn fuzz_frame_stream(data: &[u8]) {
     let mut cursor = data;
+    let mut reused = data;
+    let mut buf = Vec::new();
     // Drain frames until the stream errors or ends; bounded because every
     // iteration consumes at least a header.
-    while let Ok(Some(frame)) = read_frame(&mut cursor, DEFAULT_MAX_PAYLOAD) {
+    loop {
+        let frame = read_frame(&mut cursor, DEFAULT_MAX_PAYLOAD);
+        let into = read_frame_into(&mut reused, DEFAULT_MAX_PAYLOAD, &mut buf);
+        let Ok(Some(frame)) = frame else {
+            assert!(!matches!(into, Ok(Some(_))), "the reused-buffer reader read past the end");
+            break;
+        };
+        let (opcode, len) = into.expect("both readers accept the same frame").expect("a frame");
+        assert_eq!((opcode, &buf[..len]), (frame.opcode, frame.payload.as_slice()));
+        if opcode == Opcode::IngestBatch {
+            let direct: Option<Vec<_>> =
+                decode_ingest_payload(&buf[..len]).ok().map(Iterator::collect);
+            match Request::decode(&frame) {
+                Ok(Request::IngestBatch(records)) => assert_eq!(direct, Some(records)),
+                _ => assert!(direct.is_none(), "direct decode accepted a rejected batch"),
+            }
+        }
         check_roundtrip(&frame);
     }
 }

@@ -40,9 +40,10 @@ use crate::detect::{DetectionConfig, DetectionRuntime};
 use crate::engine::{Engine, EngineConfig, IngestLane};
 use crate::tune::{TuneRuntime, TuneState};
 use crate::wire::{
-    frame_wire_len, read_frame, write_frame, Request, Response, StatusReport, WireError,
-    DEFAULT_MAX_PAYLOAD, SUBSCRIBE_MASK_ALL,
+    decode_ingest_payload, frame_wire_len, read_frame_into, write_frame, Opcode, Request, Response,
+    StatusReport, WireError, DEFAULT_MAX_PAYLOAD, SUBSCRIBE_MASK_ALL,
 };
+use instameasure_packet::PacketRecord;
 
 /// Configuration of the daemon. Build via [`ServiceConfig::builder`].
 #[derive(Debug, Clone)]
@@ -586,13 +587,17 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let writer = Arc::new(Mutex::new(stream));
     let mut lane: Option<IngestLane> = None;
     let mut sub_id: Option<u64> = None;
+    // Every frame of the connection is read into this one buffer; it
+    // grows to the largest payload seen, at most `max_frame_bytes`.
+    let mut frame_buf = Vec::new();
 
     loop {
-        let frame = match read_frame(&mut reader, shared.cfg.max_frame_bytes) {
+        let max = shared.cfg.max_frame_bytes;
+        let (opcode, len) = match read_frame_into(&mut reader, max, &mut frame_buf) {
             Ok(None) => break, // clean disconnect at a frame boundary
-            Ok(Some(frame)) => {
-                shared.bytes_rx.add(frame_wire_len(frame.payload.len()));
-                frame
+            Ok(Some((opcode, len))) => {
+                shared.bytes_rx.add(frame_wire_len(len));
+                (opcode, len)
             }
             Err(WireError::Io(e)) if is_timeout(&e) => {
                 // An alert subscriber is *supposed* to sit quietly and
@@ -619,8 +624,17 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 break;
             }
         };
-        let request = match Request::decode(&frame) {
-            Ok(r) => r,
+        let payload = &frame_buf[..len];
+        // Ingest records go from the frame buffer straight into the lane.
+        let keep_open = match opcode {
+            Opcode::IngestBatch => decode_ingest_payload(payload)
+                .map(|records| ingest(records, &writer, &mut lane, shared)),
+            _ => Request::decode_payload(opcode, payload)
+                .map(|request| dispatch(request, &writer, &mut lane, &mut sub_id, shared)),
+        };
+        match keep_open {
+            Ok(true) => {}
+            Ok(false) => break,
             Err(e) => {
                 shared.count_reject(e.class());
                 let _ = send(
@@ -630,9 +644,6 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 );
                 break;
             }
-        };
-        if !dispatch(request, &writer, &mut lane, &mut sub_id, shared) {
-            break;
         }
     }
     // A closed connection takes its subscription with it.
@@ -651,68 +662,13 @@ fn dispatch(
     shared: &Arc<Shared>,
 ) -> bool {
     match request {
-        Request::IngestBatch(records) => {
-            shared.frames_ingest.inc();
-            if shared.stop.load(Ordering::SeqCst) {
-                shared.count_reject("draining");
-                let _ = send(
-                    writer,
-                    shared,
-                    &Response::Error {
-                        class: "draining".to_string(),
-                        message: "daemon is shutting down; ingest is closed".to_string(),
-                    },
-                );
-                return false;
-            }
-            let open = match lane {
-                Some(l) => l,
-                None => match shared.engine.lane() {
-                    Some(l) => lane.insert(l),
-                    None => {
-                        shared.count_reject("draining");
-                        let _ = send(
-                            writer,
-                            shared,
-                            &Response::Error {
-                                class: "draining".to_string(),
-                                message: "daemon is shutting down; ingest is closed".to_string(),
-                            },
-                        );
-                        return false;
-                    }
-                },
-            };
-            match open.submit(&records) {
-                Ok(()) => true,
-                Err(e) => {
-                    shared.count_reject("draining");
-                    let _ = send(
-                        writer,
-                        shared,
-                        &Response::Error { class: "draining".to_string(), message: e.to_string() },
-                    );
-                    false
-                }
-            }
-        }
+        Request::IngestBatch(records) => ingest(records, writer, lane, shared),
         Request::IngestFin => {
             shared.frames_ingest.inc();
             let accepted = match lane {
                 Some(l) => match l.flush() {
                     Ok(()) => l.accepted(),
-                    Err(e) => {
-                        shared.count_reject("draining");
-                        let _ = send(
-                            writer,
-                            shared,
-                            &Response::Error {
-                                class: "draining".to_string(),
-                                message: e.to_string(),
-                            },
-                        );
-                        return false;
-                    }
+                    Err(e) => return refuse_draining(writer, shared, e.to_string()),
                 },
                 None => 0,
             };
@@ -801,6 +757,40 @@ fn dispatch(
             false
         }
     }
+}
+
+/// Submits one ingest frame's records to the connection's lane, opening
+/// the lane on first use; returns false when the connection should close.
+fn ingest(
+    records: impl IntoIterator<Item = PacketRecord>,
+    writer: &Arc<Mutex<TcpStream>>,
+    lane: &mut Option<IngestLane>,
+    shared: &Arc<Shared>,
+) -> bool {
+    const CLOSED: &str = "daemon is shutting down; ingest is closed";
+    shared.frames_ingest.inc();
+    if shared.stop.load(Ordering::SeqCst) {
+        return refuse_draining(writer, shared, CLOSED.to_string());
+    }
+    let open = match lane {
+        Some(l) => l,
+        None => match shared.engine.lane() {
+            Some(l) => lane.insert(l),
+            None => return refuse_draining(writer, shared, CLOSED.to_string()),
+        },
+    };
+    match open.submit_iter(records) {
+        Ok(()) => true,
+        Err(e) => refuse_draining(writer, shared, e.to_string()),
+    }
+}
+
+/// Counts a `draining` rejection and sends its error reply; returns false
+/// (the connection closes).
+fn refuse_draining(writer: &Mutex<TcpStream>, shared: &Arc<Shared>, message: String) -> bool {
+    shared.count_reject("draining");
+    let _ = send(writer, shared, &Response::Error { class: "draining".to_string(), message });
+    false
 }
 
 fn timed_query<T>(shared: &Arc<Shared>, f: impl FnOnce() -> T) -> T {

@@ -26,6 +26,15 @@
 //! [`Request::IngestFin`], and [`Opcode::Alert`] frames, which the
 //! server pushes unsolicited to connections that sent
 //! [`Request::Subscribe`]).
+//!
+//! Ingest frames, the protocol's bulk traffic, have one codec:
+//! `encode_ingest_frame` encodes a borrowed record slice into a
+//! caller-reused buffer, `read_frame_into` reads any frame into a
+//! caller-reused buffer, and `decode_ingest_payload` validates a payload
+//! and decodes its records lazily. [`Request::encode`], [`read_frame`] and
+//! [`Request::decode`] delegate to them, so the client's and server's
+//! copy-free path and the owned [`Frame`] path produce the same bytes and
+//! records.
 
 use std::io::{Read, Write};
 
@@ -225,6 +234,16 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
+/// The header of a frame carrying `payload_len` payload bytes.
+fn frame_header(opcode: Opcode, payload_len: usize) -> [u8; HEADER_BYTES] {
+    debug_assert!(payload_len <= u32::MAX as usize);
+    let mut header = [0u8; HEADER_BYTES];
+    header[0..4].copy_from_slice(&MAGIC);
+    header[4] = opcode as u8;
+    header[5..9].copy_from_slice(&(payload_len as u32).to_be_bytes());
+    header
+}
+
 /// Writes one frame. The caller is responsible for flushing buffered
 /// writers before expecting a reply.
 ///
@@ -232,12 +251,7 @@ pub struct Frame {
 ///
 /// Propagates transport errors from the writer.
 pub fn write_frame(w: &mut impl Write, opcode: Opcode, payload: &[u8]) -> std::io::Result<()> {
-    debug_assert!(payload.len() <= u32::MAX as usize);
-    let mut header = [0u8; HEADER_BYTES];
-    header[0..4].copy_from_slice(&MAGIC);
-    header[4] = opcode as u8;
-    header[5..9].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-    w.write_all(&header)?;
+    w.write_all(&frame_header(opcode, payload.len()))?;
     w.write_all(payload)
 }
 
@@ -264,6 +278,28 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
 /// Returns the [`WireError`] classifying what was wrong with the bytes
 /// (or the transport).
 pub fn read_frame(r: &mut impl Read, max_payload: u32) -> Result<Option<Frame>, WireError> {
+    let mut payload = Vec::new();
+    // A fresh buffer grows to exactly the payload length.
+    Ok(read_frame_into(r, max_payload, &mut payload)?.map(|(opcode, _)| Frame { opcode, payload }))
+}
+
+/// Reads one frame into `buf`, a buffer the caller reuses from frame to
+/// frame: on `Ok(Some((opcode, len)))` the payload is `buf[..len]`.
+/// `buf` only grows, to the largest payload read so far (at most
+/// `max_payload` bytes, checked before any growth), and later frames
+/// overwrite its bytes in place, so a steady stream of frames is read
+/// without allocating or zero-filling. `Ok(None)` and the errors are
+/// those of [`read_frame`].
+///
+/// # Errors
+///
+/// Returns the [`WireError`] classifying what was wrong with the bytes
+/// (or the transport).
+pub(crate) fn read_frame_into(
+    r: &mut impl Read,
+    max_payload: u32,
+    buf: &mut Vec<u8>,
+) -> Result<Option<(Opcode, usize)>, WireError> {
     let mut header = [0u8; HEADER_BYTES];
     match read_full(r, &mut header)? {
         0 => return Ok(None),
@@ -280,12 +316,68 @@ pub fn read_frame(r: &mut impl Read, max_payload: u32) -> Result<Option<Frame>, 
     if len > max_payload {
         return Err(WireError::Oversized { len, max: max_payload });
     }
-    let mut payload = vec![0u8; len as usize];
-    let got = read_full(r, &mut payload)?;
-    if got < len as usize {
+    let n = len as usize;
+    if buf.len() < n {
+        buf.resize(n, 0);
+    }
+    let got = read_full(r, &mut buf[..n])?;
+    if got < n {
         return Err(WireError::TruncatedPayload { expected: len, got });
     }
-    Ok(Some(Frame { opcode, payload }))
+    Ok(Some((opcode, n)))
+}
+
+/// Bytes of an [`Opcode::IngestBatch`] payload carrying `records` records:
+/// a big-endian `u32` count, then [`PacketRecord::WIRE_BYTES`] per record.
+fn ingest_payload_len(records: usize) -> usize {
+    4 + records * PacketRecord::WIRE_BYTES
+}
+
+/// Appends an [`Opcode::IngestBatch`] payload for `records` to `out`.
+fn encode_ingest_payload(records: &[PacketRecord], out: &mut Vec<u8>) {
+    out.reserve(ingest_payload_len(records.len()));
+    out.extend_from_slice(&(records.len() as u32).to_be_bytes());
+    for r in records {
+        out.extend_from_slice(&r.to_wire_bytes());
+    }
+}
+
+/// Appends the whole [`Opcode::IngestBatch`] frame for `records` — header
+/// and payload — to `out`: the bytes [`write_frame`] sends for
+/// `Request::IngestBatch(records.to_vec()).encode()`, encoded straight
+/// from the borrowed slice. The client encodes every pushed batch this
+/// way into one reused buffer.
+pub(crate) fn encode_ingest_frame(records: &[PacketRecord], out: &mut Vec<u8>) {
+    let payload_len = ingest_payload_len(records.len());
+    out.reserve(HEADER_BYTES + payload_len);
+    out.extend_from_slice(&frame_header(Opcode::IngestBatch, payload_len));
+    encode_ingest_payload(records, out);
+}
+
+/// Validates an [`Opcode::IngestBatch`] payload — its record count must
+/// agree with its length — and returns its records, decoded lazily in
+/// order. The server feeds them straight into its ingest lane; because
+/// the whole payload is checked first, a malformed frame submits nothing.
+///
+/// # Errors
+///
+/// Returns [`WireError::BadPayload`] if the payload is shorter than the
+/// count or its length disagrees with the count.
+pub(crate) fn decode_ingest_payload(
+    payload: &[u8],
+) -> Result<impl ExactSizeIterator<Item = PacketRecord> + '_, WireError> {
+    let Some((count, body)) = payload.split_first_chunk::<4>() else {
+        return Err(WireError::BadPayload { what: "ingest batch shorter than count" });
+    };
+    let count = u32::from_be_bytes(*count) as usize;
+    if count.checked_mul(PacketRecord::WIRE_BYTES) != Some(body.len()) {
+        return Err(WireError::BadPayload {
+            what: "ingest batch length disagrees with record count",
+        });
+    }
+    Ok(body
+        .chunks_exact(PacketRecord::WIRE_BYTES)
+        .map(|c| PacketRecord::from_wire_bytes(c.try_into().expect("23-byte chunk"))))
 }
 
 /// A client-to-server message.
@@ -328,11 +420,8 @@ impl Request {
     pub fn encode(&self) -> Frame {
         match self {
             Request::IngestBatch(records) => {
-                let mut payload = Vec::with_capacity(4 + records.len() * PacketRecord::WIRE_BYTES);
-                payload.extend_from_slice(&(records.len() as u32).to_be_bytes());
-                for r in records {
-                    payload.extend_from_slice(&r.to_wire_bytes());
-                }
+                let mut payload = Vec::new();
+                encode_ingest_payload(records, &mut payload);
                 Frame { opcode: Opcode::IngestBatch, payload }
             }
             Request::IngestFin => Frame { opcode: Opcode::IngestFin, payload: Vec::new() },
@@ -363,34 +452,27 @@ impl Request {
     /// opcode's layout, [`WireError::UnknownOpcode`] for response opcodes
     /// arriving on the request path.
     pub fn decode(frame: &Frame) -> Result<Self, WireError> {
-        let p = &frame.payload;
-        match frame.opcode {
-            Opcode::IngestBatch => {
-                if p.len() < 4 {
-                    return Err(WireError::BadPayload { what: "ingest batch shorter than count" });
-                }
-                let count = u32::from_be_bytes(p[0..4].try_into().expect("4-byte slice")) as usize;
-                let body = &p[4..];
-                if body.len() != count * PacketRecord::WIRE_BYTES {
-                    return Err(WireError::BadPayload {
-                        what: "ingest batch length disagrees with record count",
-                    });
-                }
-                let records = body
-                    .chunks_exact(PacketRecord::WIRE_BYTES)
-                    .map(|c| PacketRecord::from_wire_bytes(c.try_into().expect("23-byte chunk")))
-                    .collect();
-                Ok(Request::IngestBatch(records))
-            }
+        Self::decode_payload(frame.opcode, &frame.payload)
+    }
+
+    /// Decodes a request from its opcode and payload bytes (as
+    /// [`read_frame_into`] leaves them), without building a [`Frame`].
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`Request::decode`].
+    pub(crate) fn decode_payload(opcode: Opcode, p: &[u8]) -> Result<Self, WireError> {
+        match opcode {
+            Opcode::IngestBatch => Ok(Request::IngestBatch(decode_ingest_payload(p)?.collect())),
             Opcode::IngestFin => expect_empty(p, Request::IngestFin, "ingest fin"),
             Opcode::QueryFlow => {
-                let key: [u8; 13] = p.as_slice().try_into().map_err(|_| WireError::BadPayload {
+                let key: [u8; 13] = p.try_into().map_err(|_| WireError::BadPayload {
                     what: "flow query needs a 13-byte key",
                 })?;
                 Ok(Request::QueryFlow(FlowKey::from_bytes(key)))
             }
             Opcode::QueryTopK => {
-                let k: [u8; 4] = p.as_slice().try_into().map_err(|_| WireError::BadPayload {
+                let k: [u8; 4] = p.try_into().map_err(|_| WireError::BadPayload {
                     what: "top-k query needs a 4-byte count",
                 })?;
                 let k = u32::from_be_bytes(k);
@@ -405,7 +487,7 @@ impl Request {
             Opcode::Rotate => expect_empty(p, Request::Rotate, "rotate"),
             Opcode::Shutdown => expect_empty(p, Request::Shutdown, "shutdown"),
             Opcode::Subscribe => {
-                let [kinds] = p.as_slice() else {
+                let [kinds] = p else {
                     return Err(WireError::BadPayload {
                         what: "subscribe carries a single mask byte",
                     });
@@ -417,7 +499,7 @@ impl Request {
                 }
                 Ok(Request::Subscribe { kinds: *kinds })
             }
-            _ => Err(WireError::UnknownOpcode(frame.opcode as u8)),
+            _ => Err(WireError::UnknownOpcode(opcode as u8)),
         }
     }
 }
@@ -1069,12 +1151,63 @@ mod tests {
     #[test]
     fn batch_count_must_match_length() {
         let mut frame = Request::IngestBatch(sample_records(3)).encode();
-        // Claim 4 records but carry 3.
-        frame.payload[0..4].copy_from_slice(&4u32.to_be_bytes());
-        match Request::decode(&frame) {
-            Err(WireError::BadPayload { .. }) => {}
-            other => panic!("expected BadPayload, got {other:?}"),
+        assert_eq!(decode_ingest_payload(&frame.payload).unwrap().len(), 3);
+        // Claim other counts than the 3 records carried; the whole
+        // payload is rejected before any record decodes.
+        for count in [0u32, 2, 4, u32::MAX] {
+            frame.payload[0..4].copy_from_slice(&count.to_be_bytes());
+            match Request::decode(&frame) {
+                Err(WireError::BadPayload { .. }) => {}
+                other => panic!("count {count}: expected BadPayload, got {other:?}"),
+            }
+            assert!(decode_ingest_payload(&frame.payload).is_err(), "count {count}");
         }
+        assert!(matches!(decode_ingest_payload(&[0, 0, 0]), Err(WireError::BadPayload { .. })));
+    }
+
+    #[test]
+    fn ingest_frames_encode_like_the_request_path() {
+        for n in [0usize, 1, 17, 300] {
+            let records = sample_records(n);
+            let frame = Request::IngestBatch(records.clone()).encode();
+            let mut expected = Vec::new();
+            write_frame(&mut expected, frame.opcode, &frame.payload).unwrap();
+            // A dirty, reused buffer: the encoder appends to what the
+            // caller cleared, whatever capacity it kept.
+            let mut got = vec![0xAB; 64];
+            got.clear();
+            encode_ingest_frame(&records, &mut got);
+            assert_eq!(got, expected, "n={n}");
+        }
+    }
+
+    #[test]
+    fn reused_frame_buffer_reads_a_small_frame_after_a_large_one() {
+        let large = sample_records(200);
+        let small = sample_records(3);
+        let mut wire = Vec::new();
+        for batch in [&large, &small] {
+            encode_ingest_frame(batch, &mut wire);
+        }
+        write_frame(&mut wire, Opcode::QueryStatus, &[]).unwrap();
+        let mut cursor = wire.as_slice();
+        let mut buf = Vec::new();
+        for expected in [&large, &small] {
+            let (opcode, len) =
+                read_frame_into(&mut cursor, DEFAULT_MAX_PAYLOAD, &mut buf).unwrap().unwrap();
+            assert_eq!(opcode, Opcode::IngestBatch);
+            assert_eq!(len, 4 + expected.len() * PacketRecord::WIRE_BYTES);
+            let got: Vec<PacketRecord> = decode_ingest_payload(&buf[..len]).unwrap().collect();
+            assert_eq!(&got, expected);
+        }
+        // The buffer kept the large frame's size; the bytes past the
+        // small payload are the large frame's leftovers, never read.
+        assert_eq!(buf.len(), 4 + large.len() * PacketRecord::WIRE_BYTES);
+        let (opcode, len) =
+            read_frame_into(&mut cursor, DEFAULT_MAX_PAYLOAD, &mut buf).unwrap().unwrap();
+        assert_eq!((opcode, len), (Opcode::QueryStatus, 0));
+        assert_eq!(Request::decode_payload(opcode, &buf[..len]).unwrap(), Request::QueryStatus);
+        assert!(read_frame_into(&mut cursor, DEFAULT_MAX_PAYLOAD, &mut buf).unwrap().is_none());
     }
 
     #[test]

@@ -128,6 +128,32 @@ fn bad_payload_in_query_is_classified() {
 }
 
 #[test]
+fn ingest_batch_count_disagreeing_with_length_is_rejected_whole() {
+    let server = test_server();
+    let key = FlowKey::new([10, 3, 3, 1], [10, 3, 3, 2], 999, 53, Protocol::Udp);
+    let records: Vec<PacketRecord> = (0..10).map(|t| PacketRecord::new(key, 64, t)).collect();
+    let mut s = raw_connect(&server);
+    // A well-formed frame first, so the connection's lane is open ...
+    let good = Request::IngestBatch(records.clone()).encode();
+    instameasure_service::wire::write_frame(&mut s, good.opcode, &good.payload).unwrap();
+    // ... then one whose count claims 11 records while carrying 10.
+    let mut bad = good;
+    bad.payload[0..4].copy_from_slice(&11u32.to_be_bytes());
+    instameasure_service::wire::write_frame(&mut s, bad.opcode, &bad.payload).unwrap();
+    s.flush().unwrap();
+    expect_error_class(&mut s, "bad_payload");
+    assert!(wait_for(|| reject_count(&server, "bad_payload") >= 1));
+    assert_alive(&server);
+    // Not one record of the rejected frame reached the pipeline: the
+    // count is checked before any record is decoded into the lane.
+    let mut ops = ServiceClient::connect(server.local_addr()).unwrap();
+    let report = ops.shutdown().unwrap();
+    assert_eq!(report.packets_submitted, 10);
+    assert_eq!(report.packets_processed, 10);
+    server.join();
+}
+
+#[test]
 fn truncated_header_mid_frame_is_counted() {
     let server = test_server();
     let mut s = raw_connect(&server);

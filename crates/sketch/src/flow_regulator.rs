@@ -4,9 +4,8 @@ use instameasure_packet::{prefetch, simd as packet_simd, FlowDigest, PacketRecor
 use instameasure_telemetry::{Instrumented, Snapshot};
 
 use crate::config::SketchConfig;
-use crate::decode;
 use crate::filter::{FilterStats, FlowFilter, FlowUpdate};
-use crate::rcc::Rcc;
+use crate::rcc::{Rcc, Slot};
 
 /// Design-choice switches of the FlowRegulator, exposed for ablation
 /// studies (`cargo run -rp instameasure-bench --bin ablations`). The
@@ -124,7 +123,7 @@ impl FlowRegulator {
     /// noise estimate: the packets one class-`class` L1 saturation stands
     /// for.
     fn class_unit(&self, class: u32) -> f64 {
-        decode::estimate_own_packets(self.config().vector_bits(), class, 0.0).max(1.0)
+        self.l1.saturation_estimate(class).max(1.0)
     }
 
     /// Algorithm 1 with the hashing already done: encode into L1; on L1
@@ -144,8 +143,9 @@ impl FlowRegulator {
         self.stats.hashes += 1; // the digest: reused by both layers unless ablated
 
         self.stats.mem_accesses += 1;
-        let sat1 = self.l1.encode_hashed(h1)?;
-        self.finish_l1_saturation(pkt, digest, h1, sat1)
+        let slot = self.l1.slot(h1);
+        let sat1 = self.l1.encode_in_slot(h1, slot)?;
+        self.finish_l1_saturation(pkt, digest, h1, slot, sat1)
     }
 
     /// The batched twin of [`FlowRegulator::process_prepared`]: L1's
@@ -167,32 +167,35 @@ impl FlowRegulator {
 
         self.stats.mem_accesses += 1;
         let sat1 = self.l1.encode_prepared(i)?;
-        self.finish_l1_saturation(pkt, digest, h1, sat1)
+        self.finish_l1_saturation(pkt, digest, h1, self.l1.prepared_slot(i), sat1)
     }
 
     /// Everything after an L1 saturation: bump the class counter, encode
     /// one bit into the class's L2 (rare, data-dependent — stays scalar),
-    /// and on L2 saturation release the multiplicative estimate.
+    /// and on L2 saturation release the multiplicative estimate. `slot1`
+    /// is the flow's L1 placement.
     #[inline]
     fn finish_l1_saturation(
         &mut self,
         pkt: &PacketRecord,
         digest: FlowDigest,
         h1: u64,
+        slot1: Slot,
         sat1: crate::SaturationEvent,
     ) -> Option<FlowUpdate> {
         self.l1_sats_by_class[(sat1.noise_class - 1) as usize] += 1;
 
         let class_idx = if self.opts.shared_l2 { 0 } else { (sat1.noise_class - 1) as usize };
         let layer = &mut self.l2[class_idx];
-        let h2 = if self.opts.independent_l2_hash {
-            self.stats.hashes += 1;
-            layer.hash_digest(digest)
-        } else {
-            h1
-        };
         self.stats.mem_accesses += 1;
-        let sat2 = layer.encode_hashed(h2)?;
+        let sat2 = if self.opts.independent_l2_hash {
+            self.stats.hashes += 1;
+            layer.encode_hashed(layer.hash_digest(digest))
+        } else {
+            // Hash reuse: every L2 layer has L1's geometry and seed and
+            // encodes L1's hash, so L1's placement is its placement.
+            layer.encode_in_slot(h1, slot1)
+        }?;
         self.l2_sats_by_layer[class_idx] += 1;
 
         // Both layers saturated: release unit × count.

@@ -58,6 +58,10 @@ pub struct Rcc {
     draw_counter: u64,
     encodes: u64,
     saturations: u64,
+    /// `decode::estimate_own_packets(b, z, 0.0)` for every saturating
+    /// zero count `z` in `0..=noise_max`, evaluated once at construction:
+    /// a saturation indexes this instead of recomputing the decode.
+    saturation_estimates: Vec<f64>,
     /// Per-batch placement scratch (word index / mask / position SoA),
     /// recycled across [`Rcc::encode_batch`] calls.
     scratch: PlacementScratch,
@@ -65,7 +69,7 @@ pub struct Rcc {
 
 /// A flow's location inside the arena: word index and vector bit mask.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Slot {
+pub(crate) struct Slot {
     word_idx: usize,
     vector_mask: u64,
 }
@@ -74,12 +78,16 @@ impl Rcc {
     /// Creates an empty RCC layer with the given geometry.
     #[must_use]
     pub fn new(cfg: SketchConfig) -> Self {
+        let b = cfg.vector_bits();
         Rcc {
             cfg,
             words: vec![0; cfg.num_words().max(1)],
             draw_counter: 0,
             encodes: 0,
             saturations: 0,
+            saturation_estimates: (0..=cfg.noise_max())
+                .map(|z| decode::estimate_own_packets(b, z, 0.0))
+                .collect(),
             scratch: PlacementScratch::default(),
         }
     }
@@ -120,7 +128,7 @@ impl Rcc {
 
     /// Locates the flow's word and virtual-vector mask from its hash.
     #[inline]
-    fn slot(&self, h: u64) -> Slot {
+    pub(crate) fn slot(&self, h: u64) -> Slot {
         let word_idx = (h % self.words.len() as u64) as usize;
         let vector_mask = simd::mask_for_hash(h, self.cfg.vector_bits());
         Slot { word_idx, vector_mask }
@@ -131,9 +139,17 @@ impl Rcc {
     /// vector.
     #[inline]
     pub fn encode_hashed(&mut self, h: u64) -> Option<SaturationEvent> {
+        self.encode_in_slot(h, self.slot(h))
+    }
+
+    /// [`Rcc::encode_hashed`] with the placement already derived:
+    /// `slot` must be `self.slot(h)`, or the slot of `h` in a layer of the
+    /// same geometry and seed (a [`crate::FlowRegulator`]'s L2 under hash
+    /// reuse takes L1's).
+    #[inline]
+    pub(crate) fn encode_in_slot(&mut self, h: u64, slot: Slot) -> Option<SaturationEvent> {
         self.encodes += 1;
         self.draw_counter = self.draw_counter.wrapping_add(1);
-        let slot = self.slot(h);
         let b = self.cfg.vector_bits();
 
         // Choose one of the b vector positions uniformly.
@@ -168,7 +184,7 @@ impl Rcc {
         // of the never-recycled outside bits would grossly overstate
         // per-cycle noise and bias elephants low (it is the right sample
         // for the long-exposure residual decode below, not for this one).
-        let estimate = decode::estimate_own_packets(b, zeros, 0.0);
+        let estimate = self.saturation_estimates[zeros as usize];
         *word &= !mask;
         self.saturations += 1;
         Some(SaturationEvent { zeros, noise_class: zeros.clamp(1, self.cfg.noise_max()), estimate })
@@ -202,6 +218,19 @@ impl Rcc {
         let mask = self.scratch.mask[i];
         let pos = self.scratch.pos[i];
         self.set_and_check(word_idx, mask, pos)
+    }
+
+    /// The placement of prepared packet `i` (see [`Rcc::prepare_batch`]).
+    #[inline]
+    pub(crate) fn prepared_slot(&self, i: usize) -> Slot {
+        Slot { word_idx: self.scratch.word_idx[i], vector_mask: self.scratch.mask[i] }
+    }
+
+    /// The decode of a saturation that left `zeros` of the vector's bits
+    /// clear (`zeros <= noise_max`), from the table built at construction.
+    #[inline]
+    pub(crate) fn saturation_estimate(&self, zeros: u32) -> f64 {
+        self.saturation_estimates[zeros as usize]
     }
 
     /// Prefetches the counter word of prepared packet `i`; out-of-range
@@ -332,6 +361,26 @@ mod tests {
             assert_eq!(s1, s2);
             assert_eq!(s1.vector_mask.count_ones(), 8);
             assert!(s1.word_idx < rcc.words.len());
+        }
+    }
+
+    #[test]
+    fn decode_table_is_bit_identical_to_the_decode_for_every_width() {
+        // The config accepts exactly the widths 2..=WORD_BITS.
+        for bad in [0, 1, WORD_BITS + 1] {
+            assert!(SketchConfig::builder().vector_bits(bad).build().is_err(), "b={bad}");
+        }
+        for b in 2..=WORD_BITS {
+            let cfg = SketchConfig::builder().memory_bytes(1024).vector_bits(b).build().unwrap();
+            let rcc = Rcc::new(cfg);
+            assert_eq!(rcc.saturation_estimates.len() as u32, cfg.noise_max() + 1, "b={b}");
+            for z in 0..=cfg.noise_max() {
+                assert_eq!(
+                    rcc.saturation_estimate(z).to_bits(),
+                    decode::estimate_own_packets(b, z, 0.0).to_bits(),
+                    "b={b} z={z}"
+                );
+            }
         }
     }
 
