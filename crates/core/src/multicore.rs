@@ -888,9 +888,12 @@ mod backpressure_tests {
 
     #[test]
     fn drop_policy_still_measures_what_it_saw() {
-        // Even with drops, an elephant's estimate must track the packets
-        // that actually reached a worker (the paper compares against the
-        // same dropped stream for exactly this reason).
+        // Even with drops, an elephant's estimate must be what the packets
+        // that actually reached a worker give (the paper compares against
+        // the same dropped stream for exactly this reason). Every record is
+        // the same flow and length and whole batches drop, so the delivered
+        // stream is fixed by its count: a single-core replay of that many
+        // records is the oracle, bit for bit.
         let records: Vec<PacketRecord> =
             (0..100_000u64).map(|t| PacketRecord::new(key(1), 64, t)).collect();
         let cfg = MultiCoreConfig {
@@ -901,9 +904,11 @@ mod backpressure_tests {
             backpressure: BackpressurePolicy::Drop,
         };
         let (sys, report) = run_multicore(&records, &cfg);
-        let delivered = report.per_worker_packets.iter().sum::<u64>();
+        let delivered = report.per_worker_packets.iter().sum::<u64>() as usize;
+        let mut replay = InstaMeasure::new(cfg.per_worker);
+        replay.process_batch(&records[..delivered]);
         let est = sys.estimate_packets(&key(1));
-        let rel = (est - delivered as f64).abs() / delivered.max(1) as f64;
-        assert!(rel < 0.2, "estimate {est} vs delivered {delivered}");
+        let expected = replay.estimate_packets(&key(1));
+        assert_eq!(est.to_bits(), expected.to_bits(), "{est} vs {expected}, {delivered} delivered");
     }
 }

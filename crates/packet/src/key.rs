@@ -7,8 +7,13 @@ use core::fmt;
 /// The three protocols the paper's datasets contain (TCP, UDP, ICMP) get
 /// dedicated variants; anything else is preserved verbatim in
 /// [`Protocol::Other`].
+///
+/// `#[repr(u8)]` fixes the layout: the first byte is the tag, numbered in
+/// declaration order, so all-zero bytes are `Protocol::Tcp`. The WSAF
+/// relies on this to take its slot arena from zeroed memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[repr(u8)]
 pub enum Protocol {
     /// TCP (IP protocol number 6).
     Tcp,

@@ -32,7 +32,11 @@
 //!   built on them (top-k, per-epoch feature capture, flow export) walk
 //!   the set bits in ascending slot order and cost O(live flows) plus one
 //!   word read per 64 slots;
-//! * [`WsafTable::clear`] zeroes the bitmap alone.
+//! * [`WsafTable::clear`] zeroes the bitmap alone;
+//! * [`WsafTable::new`] writes no slot: the slots come from one zeroed
+//!   allocation, so a 2²⁰-slot table reserves its 56 MB of address space
+//!   but holds resident memory only for the pages its inserts have
+//!   written.
 //!
 //! # Example
 //!
@@ -49,7 +53,9 @@
 //! # Ok::<(), instameasure_wsaf::WsafConfigError>(())
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny` rather than `forbid`: the zeroed allocation of the slot arena
+// carries the crate's only `#[allow(unsafe_code)]`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod config;

@@ -99,22 +99,6 @@ impl WsafStats {
     }
 }
 
-const EMPTY_ENTRY: FlowEntry = FlowEntry {
-    flow_id: 0,
-    key: FlowKey {
-        src_ip: [0; 4],
-        dst_ip: [0; 4],
-        src_port: 0,
-        dst_port: 0,
-        protocol: instameasure_packet::Protocol::Other(0),
-    },
-    packets: 0.0,
-    bytes: 0.0,
-    last_ts: 0,
-    first_ts: 0,
-    referenced: false,
-};
-
 /// The `i`-th slot of the triangular quadratic probe sequence starting at
 /// `base`: `(base + (i + i²)/2) mod capacity`.
 ///
@@ -146,6 +130,20 @@ fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
     })
 }
 
+/// `slots` all-zero entries from one zeroed allocation. Nothing is
+/// written here: a large arena comes from fresh anonymous pages, which the
+/// kernel maps on demand, so a page of slots becomes resident only when
+/// an insert first writes to it.
+#[allow(unsafe_code)]
+fn zeroed_arena(slots: usize) -> Vec<FlowEntry> {
+    let arena = Box::<[FlowEntry]>::new_zeroed_slice(slots);
+    // SAFETY: all-zero bytes are a valid `FlowEntry`. Its integers are 0,
+    // its floats 0.0, `referenced` is `false`, and the key's addresses and
+    // ports are zeros. The key's `Protocol` is `#[repr(u8)]`, so its first
+    // byte is the tag and tag 0 is `Tcp`, which carries no payload.
+    unsafe { arena.assume_init() }.into_vec()
+}
+
 /// The working set of active flows (see crate docs).
 ///
 /// Occupancy lives only in `occupied`, one bit per slot. The bytes of an
@@ -172,7 +170,7 @@ impl WsafTable {
         let slots = cfg.num_entries();
         WsafTable {
             cfg,
-            entries: vec![EMPTY_ENTRY; slots],
+            entries: zeroed_arena(slots),
             occupied: vec![0; slots.div_ceil(64)],
             live: 0,
             stats: WsafStats::default(),
@@ -451,11 +449,15 @@ impl WsafTable {
     /// set bits of the occupancy bitmap, so the cost is O(live entries)
     /// plus one word read per 64 slots.
     pub fn iter(&self) -> impl Iterator<Item = &FlowEntry> {
+        self.live_slots().map(|idx| &self.entries[idx])
+    }
+
+    /// The slots holding live entries, ascending.
+    fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
         self.occupied
             .iter()
             .enumerate()
             .flat_map(|(w, &word)| set_bits(word).map(move |bit| w * 64 + bit))
-            .map(|idx| &self.entries[idx])
     }
 
     /// The `k` largest flows by packet count, descending.
@@ -470,11 +472,22 @@ impl WsafTable {
         self.top_k_by(k, |e| e.bytes)
     }
 
+    /// The `k` live entries ranked first by `metric` descending, then by
+    /// slot ascending: the order a stable sort of [`WsafTable::iter`]
+    /// gives, ties included. Selects the `k` best `(metric, slot)` pairs
+    /// in O(live flows), sorts only those and copies out only their
+    /// entries.
     fn top_k_by(&self, k: usize, metric: impl Fn(&FlowEntry) -> f64) -> Vec<FlowEntry> {
-        let mut all: Vec<FlowEntry> = self.iter().copied().collect();
-        all.sort_by(|a, b| metric(b).total_cmp(&metric(a)));
-        all.truncate(k);
-        all
+        let rank = |a: &(f64, usize), b: &(f64, usize)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
+        let mut ranked: Vec<(f64, usize)> =
+            self.live_slots().map(|idx| (metric(&self.entries[idx]), idx)).collect();
+        if k < ranked.len() {
+            // Everything before index `k` now ranks ahead of what follows.
+            ranked.select_nth_unstable_by(k, rank);
+            ranked.truncate(k);
+        }
+        ranked.sort_unstable_by(rank);
+        ranked.into_iter().map(|(_, idx)| self.entries[idx]).collect()
     }
 
     /// Removes every entry idle longer than the expiry at time `now`
@@ -740,6 +753,24 @@ mod tests {
         assert_eq!(t.iter().count(), 0);
         assert!(matches!(t.accumulate(&key(1), 2.0, 0.0, 5), AccumulateOutcome::Inserted));
         assert_eq!(t.get(&key(1)).unwrap().first_ts, 5);
+    }
+
+    #[test]
+    fn a_new_arena_reads_as_zeroed_tcp_entries() {
+        // Reads slots no insert wrote, which nothing else does, so that
+        // Miri checks every zeroed byte pattern is a valid `FlowEntry`.
+        let t = small(6, 8);
+        let zero = FlowEntry {
+            flow_id: 0,
+            key: FlowKey::new([0; 4], [0; 4], 0, 0, Protocol::Tcp),
+            packets: 0.0,
+            bytes: 0.0,
+            last_ts: 0,
+            first_ts: 0,
+            referenced: false,
+        };
+        assert_eq!(t.entries.len(), 64);
+        assert!(t.entries.iter().all(|e| *e == zero));
     }
 
     #[test]

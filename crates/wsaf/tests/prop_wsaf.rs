@@ -39,6 +39,11 @@ fn op() -> impl Strategy<Value = Op> {
     })
 }
 
+/// A top-k metric: half the draws come from four values, so ranks tie.
+fn metric() -> impl Strategy<Value = f64> {
+    (0usize..8, 1.0f64..1e6).prop_map(|(i, x)| [1.0, 2.0, 64.0, 1e6].get(i).copied().unwrap_or(x))
+}
+
 /// Runs `ops` with the clock starting at `now`; returns every outcome and
 /// the clock after the last op.
 fn replay(table: &mut WsafTable, ops: &[Op], mut now: u64) -> (Vec<Outcome>, u64) {
@@ -155,24 +160,36 @@ proptest! {
 
     #[test]
     fn top_k_is_sorted_and_bounded(
-        entries in prop::collection::vec((0u32..1000, 1.0f64..1e6), 1..200),
-        k in 1usize..50,
+        entries in prop::collection::vec((0u32..1000, metric(), metric()), 1..200),
     ) {
         let mut table = WsafTable::new(
             WsafConfig::builder().entries_log2(12).probe_limit(32).build().unwrap(),
         );
-        for (i, p) in &entries {
-            table.accumulate(&key(*i), *p, *p * 100.0, 0);
+        for (i, p, b) in &entries {
+            table.accumulate(&key(*i), *p, *b, 0);
         }
-        let top = table.top_k_by_packets(k);
-        prop_assert!(top.len() <= k);
-        for pair in top.windows(2) {
-            prop_assert!(pair[0].packets >= pair[1].packets);
-        }
-        // The head of the list is the true maximum over the table.
-        if let Some(head) = top.first() {
-            let max = table.iter().map(|e| e.packets).fold(0.0, f64::max);
-            prop_assert_eq!(head.packets, max);
+        // Entry for entry, ties included, both rankings equal a stable sort
+        // of the ascending-slot walk cut to `k`, for every `k` from 0 to
+        // past the table's length.
+        let stable_sorted = |metric: fn(&FlowEntry) -> f64| {
+            let mut all: Vec<FlowEntry> = table.iter().copied().collect();
+            all.sort_by(|a, b| metric(b).total_cmp(&metric(a)));
+            all
+        };
+        let (by_packets, by_bytes) = (stable_sorted(|e| e.packets), stable_sorted(|e| e.bytes));
+        for k in 0..=table.len() + 1 {
+            let top = table.top_k_by_packets(k);
+            prop_assert!(top.len() <= k);
+            for pair in top.windows(2) {
+                prop_assert!(pair[0].packets >= pair[1].packets);
+            }
+            // The head of the list is the true maximum over the table.
+            if let Some(head) = top.first() {
+                let max = table.iter().map(|e| e.packets).fold(0.0, f64::max);
+                prop_assert_eq!(head.packets, max);
+            }
+            prop_assert_eq!(&top[..], &by_packets[..k.min(table.len())]);
+            prop_assert_eq!(&table.top_k_by_bytes(k)[..], &by_bytes[..k.min(table.len())]);
         }
     }
 
