@@ -222,10 +222,11 @@ impl InstaMeasureConfig {
 /// the filter (the residual), which is what makes query results *instant*
 /// rather than waiting for a collector round-trip.
 ///
-/// `Clone` is deliberate: the live service's thread-per-shard engine
-/// publishes point-in-time snapshots of a shard by cloning its pipeline
-/// at a batch boundary, so queries read a consistent immutable view while
-/// the owning worker keeps ingesting.
+/// The live service's engine never clones it to answer a query: each
+/// shard's worker owns its pipeline and answers queries against it
+/// between batches. `Clone` serves tests and tools that need a
+/// point-in-time copy, such as the engine's `debug_shard_measurement`
+/// hook, which the differential suites diff against an offline replay.
 #[derive(Debug, Clone)]
 pub struct InstaMeasure {
     filter: AnyFilter,

@@ -45,11 +45,9 @@ pub fn mix64(mut x: u64) -> u64 {
 #[inline]
 #[must_use]
 pub fn flow_hash64(key: &FlowKey, seed: u64) -> u64 {
-    let b = key.to_bytes();
-    // Lay the 13 bytes out as two overlapping 64-bit lanes (bytes 0..8 and
+    // The 13 key bytes as two overlapping 64-bit lanes (bytes 0..8 and
     // 5..13) so every byte influences at least one lane.
-    let lo = u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
-    let hi = u64::from_le_bytes([b[5], b[6], b[7], b[8], b[9], b[10], b[11], b[12]]);
+    let (lo, hi) = key.hash_windows();
     let mut acc = seed.wrapping_mul(PRIME_1) ^ PRIME_3;
     acc = mix64(acc ^ lo.wrapping_mul(PRIME_2));
     acc = mix64(acc.rotate_left(31) ^ hi.wrapping_mul(PRIME_1));

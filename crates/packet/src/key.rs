@@ -12,7 +12,6 @@ use core::fmt;
 /// declaration order, so all-zero bytes are `Protocol::Tcp`. The WSAF
 /// relies on this to take its slot arena from zeroed memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[repr(u8)]
 pub enum Protocol {
     /// TCP (IP protocol number 6).
@@ -25,27 +24,50 @@ pub enum Protocol {
     Other(u8),
 }
 
-impl Protocol {
-    /// Builds a `Protocol` from the raw IPv4 protocol number.
-    #[must_use]
-    pub fn from_number(n: u8) -> Self {
-        match n {
+/// [`Protocol::from_number`] of every protocol number, built at compile
+/// time so that decoding one is a table load.
+const PROTOCOL_OF_NUMBER: [Protocol; 256] = {
+    let mut table = [Protocol::Tcp; 256];
+    let mut n = 0;
+    while n < table.len() {
+        table[n] = match n as u8 {
             1 => Protocol::Icmp,
             6 => Protocol::Tcp,
             17 => Protocol::Udp,
             other => Protocol::Other(other),
-        }
+        };
+        n += 1;
+    }
+    table
+};
+
+impl Protocol {
+    /// Builds a `Protocol` from the raw IPv4 protocol number.
+    #[inline]
+    #[must_use]
+    pub fn from_number(n: u8) -> Self {
+        PROTOCOL_OF_NUMBER[usize::from(n)]
     }
 
     /// Returns the raw IPv4 protocol number.
+    ///
+    /// Written as two matches the compiler turns into a conditional move
+    /// and a shift, not one four-way match, which compiles to an indirect
+    /// jump that mispredicts on a stream mixing TCP and UDP packets.
+    #[inline]
     #[must_use]
     pub fn number(self) -> u8 {
-        match self {
-            Protocol::Icmp => 1,
-            Protocol::Tcp => 6,
-            Protocol::Udp => 17,
+        let variant = match self {
+            Protocol::Tcp => 0,
+            Protocol::Udp => 1,
+            Protocol::Icmp => 2,
+            Protocol::Other(_) => 3,
+        };
+        let other = match self {
             Protocol::Other(n) => n,
-        }
+            _ => 0,
+        };
+        (u32::from_le_bytes([6, 17, 1, other]) >> (8 * variant)) as u8
     }
 }
 
@@ -81,7 +103,6 @@ impl From<u8> for Protocol {
 /// assert_eq!(FlowKey::from_bytes(k.to_bytes()), k);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FlowKey {
     /// Source IPv4 address, big-endian byte order.
     pub src_ip: [u8; 4],
@@ -131,6 +152,31 @@ impl FlowKey {
             dst_port: u16::from_be_bytes([b[10], b[11]]),
             protocol: Protocol::from_number(b[12]),
         }
+    }
+
+    /// The two overlapping little-endian 8-byte windows of
+    /// [`FlowKey::to_bytes`] that [`crate::hash::flow_hash64`] mixes:
+    /// bytes `0..8` and `5..13`, so every key byte lands in at least one.
+    ///
+    /// Computed from the fields in registers. Assembling `to_bytes()` in
+    /// memory and reading it back as two 8-byte words would make each load
+    /// wait for narrow stores it cannot be forwarded from.
+    ///
+    /// ```
+    /// use instameasure_packet::{FlowKey, Protocol};
+    /// let k = FlowKey::new([1, 2, 3, 4], [5, 6, 7, 8], 0x090A, 0x0B0C, Protocol::Other(13));
+    /// assert_eq!(k.hash_windows(), (0x0807_0605_0403_0201, 0x0D0C_0B0A_0908_0706));
+    /// ```
+    #[inline]
+    #[must_use]
+    pub fn hash_windows(&self) -> (u64, u64) {
+        let lo = u64::from(u32::from_le_bytes(self.src_ip))
+            | u64::from(u32::from_le_bytes(self.dst_ip)) << 32;
+        // Bytes 8..13 (big-endian ports, protocol) as a little-endian word.
+        let tail = u64::from(self.src_port.swap_bytes())
+            | u64::from(self.dst_port.swap_bytes()) << 16
+            | u64::from(self.protocol.number()) << 32;
+        (lo, lo >> 40 | tail << 24)
     }
 
     /// Source IPv4 address as a host-order integer (used by the multi-core
@@ -186,7 +232,6 @@ impl fmt::Display for FlowKey {
 /// counter accumulates); `ts_nanos` is the capture timestamp in nanoseconds
 /// since an arbitrary epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PacketRecord {
     /// The flow this packet belongs to.
     pub key: FlowKey,
@@ -208,29 +253,58 @@ impl PacketRecord {
     /// protocol ships per packet.
     pub const WIRE_BYTES: usize = 23;
 
-    /// Serializes the record into its canonical 23-byte wire layout:
-    /// `key ‖ wire_len (BE) ‖ ts_nanos (BE)`.
+    /// Writes the record's canonical 23-byte wire layout,
+    /// `key ‖ wire_len (BE) ‖ ts_nanos (BE)`, into `out` with three 8-byte
+    /// stores: bytes `0..8`, `8..16` and `15..23`. The encoder calls this
+    /// on each record's slot of the frame buffer, so no per-record byte
+    /// array is assembled and copied.
+    #[inline]
+    pub fn write_wire(&self, out: &mut [u8; Self::WIRE_BYTES]) {
+        let k = &self.key;
+        // Bytes 0..8, the addresses, are the key's first hash window.
+        let addrs = k.hash_windows().0;
+        // Bytes 8..16: ports, protocol, length and the timestamp's top
+        // byte, which the third store writes again.
+        let mid = u64::from(k.src_port) << 48
+            | u64::from(k.dst_port) << 32
+            | u64::from(k.protocol.number()) << 24
+            | u64::from(self.wire_len) << 8
+            | self.ts_nanos >> 56;
+        out[0..8].copy_from_slice(&addrs.to_le_bytes());
+        out[8..16].copy_from_slice(&mid.to_be_bytes());
+        out[15..23].copy_from_slice(&self.ts_nanos.to_be_bytes());
+    }
+
+    /// Reads a record from its canonical 23-byte wire layout with three
+    /// 8-byte loads, the inverse of [`PacketRecord::write_wire`]. Total —
+    /// every 23-byte string is a valid record, so frame decoding needs no
+    /// per-record error path.
+    #[inline]
+    #[must_use]
+    pub fn read_wire(b: &[u8; Self::WIRE_BYTES]) -> Self {
+        let word = |at: usize| -> [u8; 8] { b[at..at + 8].try_into().expect("8-byte window") };
+        let addrs = u64::from_le_bytes(word(0));
+        let mid = u64::from_be_bytes(word(8));
+        PacketRecord {
+            key: FlowKey {
+                src_ip: (addrs as u32).to_le_bytes(),
+                dst_ip: ((addrs >> 32) as u32).to_le_bytes(),
+                src_port: (mid >> 48) as u16,
+                dst_port: (mid >> 32) as u16,
+                protocol: Protocol::from_number((mid >> 24) as u8),
+            },
+            wire_len: (mid >> 8) as u16,
+            ts_nanos: u64::from_be_bytes(word(15)),
+        }
+    }
+
+    /// The record's canonical 23-byte wire layout as an array (see
+    /// [`PacketRecord::write_wire`]).
     #[must_use]
     pub fn to_wire_bytes(&self) -> [u8; Self::WIRE_BYTES] {
         let mut b = [0u8; Self::WIRE_BYTES];
-        b[0..13].copy_from_slice(&self.key.to_bytes());
-        b[13..15].copy_from_slice(&self.wire_len.to_be_bytes());
-        b[15..23].copy_from_slice(&self.ts_nanos.to_be_bytes());
+        self.write_wire(&mut b);
         b
-    }
-
-    /// Reconstructs a record from its canonical 23-byte wire layout.
-    /// Total — every 23-byte string is a valid record, so frame decoding
-    /// needs no per-record error path.
-    #[must_use]
-    pub fn from_wire_bytes(b: [u8; Self::WIRE_BYTES]) -> Self {
-        let mut key = [0u8; 13];
-        key.copy_from_slice(&b[0..13]);
-        PacketRecord {
-            key: FlowKey::from_bytes(key),
-            wire_len: u16::from_be_bytes([b[13], b[14]]),
-            ts_nanos: u64::from_be_bytes(b[15..23].try_into().expect("8-byte slice")),
-        }
     }
 }
 
@@ -241,8 +315,19 @@ mod tests {
     #[test]
     fn protocol_roundtrip() {
         for n in 0..=255u8 {
+            let named = match n {
+                1 => Some(Protocol::Icmp),
+                6 => Some(Protocol::Tcp),
+                17 => Some(Protocol::Udp),
+                _ => None,
+            };
+            assert_eq!(Protocol::from_number(n), named.unwrap_or(Protocol::Other(n)));
             assert_eq!(Protocol::from_number(n).number(), n);
+            assert_eq!(Protocol::Other(n).number(), n);
         }
+        assert_eq!(Protocol::Tcp.number(), 6);
+        assert_eq!(Protocol::Udp.number(), 17);
+        assert_eq!(Protocol::Icmp.number(), 1);
     }
 
     #[test]
@@ -283,10 +368,10 @@ mod tests {
     fn record_wire_roundtrip() {
         let k = FlowKey::new([10, 20, 30, 40], [50, 60, 70, 80], 12345, 443, Protocol::Udp);
         let p = PacketRecord::new(k, 1500, u64::MAX - 7);
-        assert_eq!(PacketRecord::from_wire_bytes(p.to_wire_bytes()), p);
+        assert_eq!(PacketRecord::read_wire(&p.to_wire_bytes()), p);
         // Arbitrary bytes decode to *some* record (total decoding).
         let garbage = [0xA5u8; PacketRecord::WIRE_BYTES];
-        let rec = PacketRecord::from_wire_bytes(garbage);
+        let rec = PacketRecord::read_wire(&garbage);
         assert_eq!(rec.to_wire_bytes(), garbage);
     }
 

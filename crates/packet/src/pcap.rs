@@ -27,8 +27,6 @@
 
 use std::io::{self, Read, Write};
 
-use bytes::{Buf, BufMut, BytesMut};
-
 use crate::ParseError;
 
 /// Microsecond-resolution pcap magic.
@@ -328,7 +326,6 @@ impl<R: Read> Iterator for Packets<'_, R> {
 pub struct PcapWriter<W> {
     inner: W,
     resolution: TsResolution,
-    buf: BytesMut,
 }
 
 impl<W: Write> PcapWriter<W> {
@@ -343,16 +340,16 @@ impl<W: Write> PcapWriter<W> {
             TsResolution::Micro => MAGIC_MICRO,
             TsResolution::Nano => MAGIC_NANO,
         };
-        let mut hdr = BytesMut::with_capacity(24);
-        hdr.put_u32_le(magic);
-        hdr.put_u16_le(2); // version major
-        hdr.put_u16_le(4); // version minor
-        hdr.put_u32_le(0); // thiszone
-        hdr.put_u32_le(0); // sigfigs
-        hdr.put_u32_le(MAX_CAPLEN); // snaplen
-        hdr.put_u32_le(LINKTYPE_ETHERNET);
+        let mut hdr = Vec::with_capacity(24);
+        hdr.extend_from_slice(&magic.to_le_bytes());
+        hdr.extend_from_slice(&2u16.to_le_bytes()); // version major
+        hdr.extend_from_slice(&4u16.to_le_bytes()); // version minor
+        hdr.extend_from_slice(&0u32.to_le_bytes()); // thiszone
+        hdr.extend_from_slice(&0u32.to_le_bytes()); // sigfigs
+        hdr.extend_from_slice(&MAX_CAPLEN.to_le_bytes()); // snaplen
+        hdr.extend_from_slice(&LINKTYPE_ETHERNET.to_le_bytes());
         inner.write_all(&hdr)?;
-        Ok(PcapWriter { inner, resolution, buf: BytesMut::with_capacity(2048) })
+        Ok(PcapWriter { inner, resolution })
     }
 
     /// Appends one packet with the given timestamp (nanoseconds) and frame
@@ -366,12 +363,13 @@ impl<W: Write> PcapWriter<W> {
             TsResolution::Micro => (ts_nanos / 1_000_000_000, (ts_nanos % 1_000_000_000) / 1_000),
             TsResolution::Nano => (ts_nanos / 1_000_000_000, ts_nanos % 1_000_000_000),
         };
-        self.buf.clear();
-        self.buf.put_u32_le(sec as u32);
-        self.buf.put_u32_le(frac as u32);
-        self.buf.put_u32_le(frame.len() as u32);
-        self.buf.put_u32_le(frame.len() as u32);
-        self.inner.write_all(&self.buf)?;
+        // ts_sec, ts_frac, caplen, orig_len.
+        let fields = [sec as u32, frac as u32, frame.len() as u32, frame.len() as u32];
+        let mut hdr = [0u8; 16];
+        for (slot, field) in hdr.chunks_exact_mut(4).zip(fields) {
+            slot.copy_from_slice(&field.to_le_bytes());
+        }
+        self.inner.write_all(&hdr)?;
         self.inner.write_all(frame)?;
         Ok(())
     }
@@ -416,14 +414,6 @@ pub fn read_records<R: Read>(reader: R) -> Result<(Vec<crate::PacketRecord>, u64
         }
     }
     Ok((records, skipped))
-}
-
-// `bytes::Buf` is used by tests to consume headers; keep the import exercised.
-#[allow(dead_code)]
-fn advance_header(buf: &mut &[u8]) {
-    if buf.len() >= 24 {
-        buf.advance(24);
-    }
 }
 
 #[cfg(test)]

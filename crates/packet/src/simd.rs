@@ -349,17 +349,20 @@ pub mod x4 {
         mix64(_mm256_xor_si256(digests, splat(seed.wrapping_mul(PRIME_2) ^ PRIME_1)))
     }
 
-    /// Gathers the two overlapping key lanes for four consecutive records.
-    #[inline]
-    fn gather_key_lanes(records: &[PacketRecord]) -> ([u64; LANE_WIDTH], [u64; LANE_WIDTH]) {
-        let mut lo = [0u64; LANE_WIDTH];
-        let mut hi = [0u64; LANE_WIDTH];
-        for (i, r) in records.iter().take(LANE_WIDTH).enumerate() {
-            let b = r.key.to_bytes();
-            lo[i] = u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
-            hi[i] = u64::from_le_bytes([b[5], b[6], b[7], b[8], b[9], b[10], b[11], b[12]]);
-        }
-        (lo, hi)
+    /// Gathers the two overlapping key lanes ([`crate::FlowKey::hash_windows`])
+    /// of four consecutive records, computed in registers. Always inlined,
+    /// so the kernels build their vectors from those registers.
+    #[inline(always)]
+    fn gather_key_lanes(chunk: &[PacketRecord]) -> ([u64; LANE_WIDTH], [u64; LANE_WIDTH]) {
+        let [r0, r1, r2, r3]: &[PacketRecord; LANE_WIDTH] =
+            chunk.try_into().expect("LANE_WIDTH records");
+        let (w0, w1, w2, w3) = (
+            r0.key.hash_windows(),
+            r1.key.hash_windows(),
+            r2.key.hash_windows(),
+            r3.key.hash_windows(),
+        );
+        ([w0.0, w1.0, w2.0, w3.0], [w0.1, w1.1, w2.1, w3.1])
     }
 
     /// # Safety

@@ -136,3 +136,78 @@ mod ipv6_props {
         }
     }
 }
+
+/// The register-built key windows and wire records against the byte-array
+/// definitions they replace, which stay here as the reference.
+mod register_layouts {
+    use instameasure_packet::{FlowKey, PacketRecord, Protocol};
+    use proptest::prelude::*;
+
+    /// Every `Protocol`, including every raw `Other(n)` — also the
+    /// non-canonical `Other(1)`, `Other(6)` and `Other(17)`.
+    fn any_protocol() -> impl Strategy<Value = Protocol> {
+        prop_oneof![
+            Just(Protocol::Tcp),
+            Just(Protocol::Udp),
+            Just(Protocol::Icmp),
+            any::<u8>().prop_map(Protocol::Other),
+        ]
+    }
+
+    prop_compose! {
+        fn any_key()(
+            src in any::<[u8; 4]>(),
+            dst in any::<[u8; 4]>(),
+            sp in any::<u16>(),
+            dp in any::<u16>(),
+            proto in any_protocol(),
+        ) -> FlowKey {
+            FlowKey::new(src, dst, sp, dp, proto)
+        }
+    }
+
+    /// Bytes 0..8 and 5..13 of `to_bytes()`, little-endian.
+    fn reference_windows(key: &FlowKey) -> (u64, u64) {
+        let b = key.to_bytes();
+        let window = |at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+        (window(0), window(5))
+    }
+
+    /// `to_bytes() ‖ wire_len BE ‖ ts BE`.
+    fn reference_wire(r: &PacketRecord) -> [u8; PacketRecord::WIRE_BYTES] {
+        let mut b = [0u8; PacketRecord::WIRE_BYTES];
+        b[0..13].copy_from_slice(&r.key.to_bytes());
+        b[13..15].copy_from_slice(&r.wire_len.to_be_bytes());
+        b[15..23].copy_from_slice(&r.ts_nanos.to_be_bytes());
+        b
+    }
+
+    /// The `from_bytes`-based decode of a wire record.
+    fn reference_read(b: &[u8; PacketRecord::WIRE_BYTES]) -> PacketRecord {
+        PacketRecord::new(
+            FlowKey::from_bytes(b[0..13].try_into().unwrap()),
+            u16::from_be_bytes([b[13], b[14]]),
+            u64::from_be_bytes(b[15..23].try_into().unwrap()),
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn register_built_layouts_match_the_byte_arrays(
+            key in any_key(),
+            wire_len in any::<u16>(),
+            ts in any::<u64>(),
+            bytes in any::<[u8; 23]>(),
+        ) {
+            prop_assert_eq!(key.hash_windows(), reference_windows(&key));
+
+            // Written over arbitrary leftovers: every byte is the record's.
+            let rec = PacketRecord::new(key, wire_len, ts);
+            let mut written = bytes;
+            rec.write_wire(&mut written);
+            prop_assert_eq!(written, reference_wire(&rec));
+
+            prop_assert_eq!(PacketRecord::read_wire(&bytes), reference_read(&bytes));
+        }
+    }
+}

@@ -333,12 +333,17 @@ fn ingest_payload_len(records: usize) -> usize {
     4 + records * PacketRecord::WIRE_BYTES
 }
 
-/// Appends an [`Opcode::IngestBatch`] payload for `records` to `out`.
+/// Appends an [`Opcode::IngestBatch`] payload for `records` to `out`:
+/// grows `out` by the payload's size once, then writes each record into
+/// its slot ([`PacketRecord::write_wire`]).
 fn encode_ingest_payload(records: &[PacketRecord], out: &mut Vec<u8>) {
-    out.reserve(ingest_payload_len(records.len()));
-    out.extend_from_slice(&(records.len() as u32).to_be_bytes());
-    for r in records {
-        out.extend_from_slice(&r.to_wire_bytes());
+    let start = out.len();
+    out.resize(start + ingest_payload_len(records.len()), 0);
+    let (count, body) = out[start..].split_at_mut(4);
+    count.copy_from_slice(&(records.len() as u32).to_be_bytes());
+    let (slots, _) = body.as_chunks_mut::<{ PacketRecord::WIRE_BYTES }>();
+    for (r, slot) in records.iter().zip(slots) {
+        r.write_wire(slot);
     }
 }
 
@@ -375,9 +380,8 @@ pub(crate) fn decode_ingest_payload(
             what: "ingest batch length disagrees with record count",
         });
     }
-    Ok(body
-        .chunks_exact(PacketRecord::WIRE_BYTES)
-        .map(|c| PacketRecord::from_wire_bytes(c.try_into().expect("23-byte chunk"))))
+    let (records, _) = body.as_chunks::<{ PacketRecord::WIRE_BYTES }>();
+    Ok(records.iter().map(PacketRecord::read_wire))
 }
 
 /// A client-to-server message.

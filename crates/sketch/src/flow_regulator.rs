@@ -153,7 +153,8 @@ impl FlowRegulator {
     /// current [`crate::Rcc::prepare_batch`]) instead of being derived
     /// inline. Identical outcome — `Rcc::encode_prepared` is bit-identical
     /// to `Rcc::encode_hashed` — and the L1-saturation tail is literally
-    /// shared code.
+    /// shared code. The caller counts the packet, its digest and its L1
+    /// access once per batch.
     #[inline]
     fn process_prepared_idx(
         &mut self,
@@ -162,10 +163,6 @@ impl FlowRegulator {
         h1: u64,
         i: usize,
     ) -> Option<FlowUpdate> {
-        self.stats.packets += 1;
-        self.stats.hashes += 1;
-
-        self.stats.mem_accesses += 1;
         let sat1 = self.l1.encode_prepared(i)?;
         self.finish_l1_saturation(pkt, digest, h1, self.l1.prepared_slot(i), sat1)
     }
@@ -246,14 +243,20 @@ impl FlowFilter for FlowRegulator {
     /// Batched hot path, three passes: (1) the AVX2 digest kernel mixes
     /// four keys per step into digests + L1 lanes (SoA scratch); (2) L1
     /// derives every packet's placement — word index, vector mask, drawn
-    /// position — four packets per step ([`crate::Rcc::prepare_batch`]);
+    /// position — eight packets per round ([`crate::Rcc::prepare_batch`]);
     /// (3) the memory-touching encode runs in packet order with the L1
     /// counter word of packet `i + K` prefetched by its precomputed index
     /// (K = [`prefetch::prefetch_distance`]). L2 words are not prefetched
     /// and L2 encodes stay scalar — which L2 layer (if any) a packet
     /// touches depends on L1's saturation outcome, so their addresses are
-    /// unknowable ahead of the encode.
+    /// unknowable ahead of the encode. Every packet costs one digest and
+    /// one L1 access, counted once for the batch.
     fn process_batch(&mut self, pkts: &[PacketRecord], out: &mut Vec<FlowUpdate>) {
+        let n = pkts.len() as u64;
+        self.stats.packets += n;
+        self.stats.hashes += n;
+        self.stats.mem_accesses += n;
+
         let mut digests = core::mem::take(&mut self.digest_scratch);
         let mut lanes = core::mem::take(&mut self.lane_scratch);
         packet_simd::digest_lanes_into(pkts, self.l1.config().seed(), &mut digests, &mut lanes);

@@ -122,14 +122,14 @@ impl Rcc {
     /// this for packet `i + K` while finishing packet `i`.
     #[inline]
     pub fn prefetch_hashed(&self, h: u64) {
-        let word_idx = (h % self.words.len() as u64) as usize;
+        let word_idx = simd::word_index(h, self.words.len() as u64);
         prefetch::prefetch_read_index(&self.words, word_idx);
     }
 
     /// Locates the flow's word and virtual-vector mask from its hash.
     #[inline]
     pub(crate) fn slot(&self, h: u64) -> Slot {
-        let word_idx = (h % self.words.len() as u64) as usize;
+        let word_idx = simd::word_index(h, self.words.len() as u64);
         let vector_mask = simd::mask_for_hash(h, self.cfg.vector_bits());
         Slot { word_idx, vector_mask }
     }
@@ -236,7 +236,7 @@ impl Rcc {
     /// Prefetches the counter word of prepared packet `i`; out-of-range
     /// indices are ignored (ragged batch tails need no guard). Unlike
     /// [`Rcc::prefetch_hashed`] this reuses the prepared word index
-    /// instead of paying the `h % num_words` again.
+    /// instead of deriving it again.
     #[inline]
     pub(crate) fn prefetch_prepared(&self, i: usize) {
         if let Some(&word_idx) = self.scratch.word_idx.get(i) {
@@ -250,7 +250,7 @@ impl Rcc {
     }
 
     /// Encodes a batch of precomputed hashes: derive every placement up
-    /// front ([`Rcc::prepare_batch`] — AVX2 four packets per step where
+    /// front ([`Rcc::prepare_batch`] — AVX2 eight packets per round where
     /// available), then run the memory-touching encode loop with the
     /// counter word of packet `i + K` prefetched while encoding packet
     /// `i` (K = [`prefetch::prefetch_distance`]). Calls `sink(i, event)`

@@ -1,7 +1,7 @@
 //! Vectorized placement derivation for the batched RCC encode.
 //!
 //! Encoding a packet needs three values derived from its hash lane `h`:
-//! the confinement word index (`h % num_words`), the flow's `b`-bit
+//! the confinement word index ([`word_index`]), the flow's `b`-bit
 //! vector mask (a rejection-sampled subset of the word's 64 bit
 //! positions) and the position draw for this packet (the `nth` set bit of
 //! the mask under a counter-keyed mix). All three are pure functions of
@@ -9,19 +9,23 @@
 //! can be derived up front into a structure-of-arrays scratch
 //! ([`PlacementScratch`]) and the memory-touching encode loop then runs
 //! with every address already known, feeding the software-prefetch
-//! pipeline without recomputing a modulo per hint.
+//! pipeline without recomputing a word index per hint.
 //!
-//! The AVX2 kernel derives four placements per step: the rejection loop
-//! for the mask keeps four `SplitMix64` states in one register and gates
-//! per-lane acceptance with compare masks (a finished lane's extra draws
-//! are discarded, exactly like the scalar loop simply not drawing), and
-//! the position draw is the same counter mix with the batch's counter
-//! values laid out linearly. The `nth`-set-bit selection uses BMI2
+//! The AVX2 kernel derives eight placements per round, as two
+//! independent four-lane chains: each chain's rejection loop for the mask
+//! keeps four `SplitMix64` states in one register and gates per-lane
+//! acceptance with compare masks (a finished lane's extra draws are
+//! discarded, exactly like the scalar loop simply not drawing). One chain
+//! is a serial run of `mix64` multiplies; stepping two at once lets the
+//! second fill the first's multiply latency. The position draw is the
+//! same counter mix with the batch's counter values laid out linearly.
+//! The `nth`-set-bit selection uses BMI2
 //! `pdep`, which is definitionally the same bit the scalar scan picks.
 //! Dispatch requires AVX2 + BMI2 (they co-ship on every AVX2 CPU since
 //! Haswell/Zen) and honours the `INSTAMEASURE_NO_SIMD` kill switch via
 //! [`instameasure_packet::simd::simd_enabled`]; everything else — and
-//! ragged tail lanes — funnels to the scalar oracle
+//! the fewer than eight packets of a ragged tail — funnels to the scalar
+//! oracle
 //! [`derive_placements_scalar`], which differential tests hold
 //! bit-identical to the kernel.
 
@@ -39,7 +43,7 @@ pub(crate) const DRAW_SALT: u64 = 0xA24B_AED4_963E_E407;
 /// stream is written (and later read) sequentially.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PlacementScratch {
-    /// Confinement word index per packet (`h % num_words`).
+    /// Confinement word index per packet ([`word_index`]).
     pub word_idx: Vec<usize>,
     /// Virtual-vector bit mask per packet.
     pub mask: Vec<u64>,
@@ -61,6 +65,19 @@ impl PlacementScratch {
         self.mask.reserve(n);
         self.pos.clear();
         self.pos.reserve(n);
+    }
+}
+
+/// The confinement word of hash lane `h` in an arena of `num_words`
+/// words: `h % num_words`. A power-of-two count (the paper's and `serve`'s
+/// 4096-word L1) takes the low bits with a mask instead of paying a 64-bit
+/// division per packet; other counts keep the modulus.
+#[inline]
+pub(crate) fn word_index(h: u64, num_words: u64) -> usize {
+    if num_words.is_power_of_two() {
+        (h & (num_words - 1)) as usize
+    } else {
+        (h % num_words) as usize
     }
 }
 
@@ -154,7 +171,7 @@ fn fill_placements_scalar(
         let mask = mask_for_hash(h, vector_bits);
         let draw = mix64(h ^ dc.wrapping_mul(DRAW_SALT));
         let nth = ((u128::from(draw) * u128::from(vector_bits)) >> 64) as u32;
-        scratch.word_idx.push((h % num_words) as usize);
+        scratch.word_idx.push(word_index(h, num_words));
         scratch.mask.push(mask);
         scratch.pos.push(nth_set_bit(mask, nth) as u8);
     }
@@ -169,9 +186,9 @@ fn placements_kernel_available() -> bool {
 
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 mod x4 {
-    use super::{PlacementScratch, DRAW_SALT, MASK_SALT};
+    use super::{word_index, PlacementScratch, DRAW_SALT, MASK_SALT};
     use core::arch::x86_64::{
-        _mm256_add_epi64, _mm256_and_si256, _mm256_cmpeq_epi64, _mm256_cmpgt_epi64,
+        __m256i, _mm256_add_epi64, _mm256_and_si256, _mm256_cmpeq_epi64, _mm256_cmpgt_epi64,
         _mm256_movemask_epi8, _mm256_mul_epu32, _mm256_or_si256, _mm256_set1_epi64x,
         _mm256_setr_epi64x, _mm256_setzero_si256, _mm256_sllv_epi64, _mm256_srli_epi64,
         _mm256_sub_epi64, _mm256_xor_si256, _pdep_u64,
@@ -180,6 +197,9 @@ mod x4 {
 
     // SplitMix64's additive constant (see instameasure_packet::hash).
     const SM64_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    /// Packets per round: two independent four-lane chains.
+    const ROUND: usize = 2 * LANE_WIDTH;
 
     /// `nth_set_bit` via BMI2: deposit bit `n` into the mask's set
     /// positions and read off where it landed. Bit-identical to the
@@ -194,7 +214,77 @@ mod x4 {
         _pdep_u64(1u64 << n, mask).trailing_zeros()
     }
 
-    /// Four placements per step; see the module docs for the lane layout.
+    /// One four-lane chain of the mask kernel: four SplitMix64 rejection
+    /// streams in lockstep, and the `b`-bit masks they have picked so far.
+    struct MaskChain {
+        state: __m256i,
+        mask: __m256i,
+        picked: __m256i,
+    }
+
+    impl MaskChain {
+        /// Seeds the four streams from the hash lanes `h`.
+        ///
+        /// # Safety
+        ///
+        /// Caller must ensure AVX2 is available.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn new(h: __m256i) -> Self {
+            let state = pkt::mix64(_mm256_xor_si256(h, _mm256_set1_epi64x(MASK_SALT as i64)));
+            MaskChain { state, mask: _mm256_setzero_si256(), picked: _mm256_setzero_si256() }
+        }
+
+        /// Draws one position per lane. `unfinished` marks the lanes that
+        /// have not picked their `b` positions yet; a finished lane keeps
+        /// drawing with the others but `unfinished` gates every update
+        /// off, so its mask is exactly what the scalar loop (which stops
+        /// drawing) produces.
+        ///
+        /// # Safety
+        ///
+        /// Caller must ensure AVX2 is available.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn step(&mut self, unfinished: __m256i) {
+            let zero = _mm256_setzero_si256();
+            self.state = _mm256_add_epi64(self.state, _mm256_set1_epi64x(SM64_GAMMA as i64));
+            let x = pkt::mix64(self.state);
+            // next_below(64) is a multiply-shift by 64: the top 6 bits.
+            let bit = _mm256_sllv_epi64(_mm256_set1_epi64x(1), _mm256_srli_epi64::<58>(x));
+            let is_new = _mm256_cmpeq_epi64(_mm256_and_si256(self.mask, bit), zero);
+            let take = _mm256_and_si256(unfinished, is_new);
+            self.mask = _mm256_or_si256(self.mask, _mm256_and_si256(bit, take));
+            // Compare results are all-ones (-1): subtracting adds 1.
+            self.picked = _mm256_sub_epi64(self.picked, take);
+        }
+    }
+
+    /// The position draw of four packets whose counter values are
+    /// `first_dc .. first_dc + 4`: `nth = (u128(draw) * b) >> 64`, the
+    /// index among the mask's set bits.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn draw_nth(h: __m256i, first_dc: u64, b_vec: __m256i) -> [u64; LANE_WIDTH] {
+        let dc =
+            _mm256_add_epi64(_mm256_set1_epi64x(first_dc as i64), _mm256_setr_epi64x(0, 1, 2, 3));
+        let draw_salt = _mm256_set1_epi64x(DRAW_SALT as i64);
+        let draw = pkt::mix64(_mm256_xor_si256(h, pkt::mullo64(dc, draw_salt)));
+        // The 128-bit product decomposed into 32-bit products:
+        // hi32(draw)*b + (lo32(draw)*b >> 32), all shifted down 32.
+        let lo_prod = _mm256_mul_epu32(draw, b_vec);
+        let hi_prod = _mm256_mul_epu32(_mm256_srli_epi64::<32>(draw), b_vec);
+        pkt::to_array(_mm256_srli_epi64::<32>(_mm256_add_epi64(
+            hi_prod,
+            _mm256_srli_epi64::<32>(lo_prod),
+        )))
+    }
+
+    /// Eight placements per round; see the module docs for the lane layout.
     ///
     /// # Safety
     ///
@@ -209,72 +299,45 @@ mod x4 {
         scratch: &mut PlacementScratch,
     ) {
         debug_assert!(vector_bits < 64);
-        let zero = _mm256_setzero_si256();
-        let one = _mm256_set1_epi64x(1);
-        let gamma = _mm256_set1_epi64x(SM64_GAMMA as i64);
         let b_vec = _mm256_set1_epi64x(i64::from(vector_bits));
-        let mask_salt = _mm256_set1_epi64x(MASK_SALT as i64);
-        let draw_salt = _mm256_set1_epi64x(DRAW_SALT as i64);
-        let lane_offsets = _mm256_setr_epi64x(1, 2, 3, 4);
 
-        let mut chunks = hashes.chunks_exact(LANE_WIDTH);
+        let mut rounds = hashes.chunks_exact(ROUND);
         let mut base = 0u64;
-        for chunk in &mut chunks {
-            let h = pkt::from_array(chunk.try_into().expect("chunk is LANE_WIDTH hashes"));
+        for round in &mut rounds {
+            let (lanes_a, lanes_b) = round.split_at(LANE_WIDTH);
+            let h_a = pkt::from_array(lanes_a.try_into().expect("LANE_WIDTH hashes"));
+            let h_b = pkt::from_array(lanes_b.try_into().expect("LANE_WIDTH hashes"));
 
-            // Mask kernel: four SplitMix64 rejection streams in lockstep.
-            // A lane that already picked its b positions keeps drawing
-            // with the others but `take` gates every update off, so its
-            // mask is exactly what the scalar loop (which stops drawing)
-            // produces.
-            let mut state = pkt::mix64(_mm256_xor_si256(h, mask_salt));
-            let mut mask = zero;
-            let mut picked = zero;
+            let (mut a, mut b) = (MaskChain::new(h_a), MaskChain::new(h_b));
             loop {
-                let unfinished = _mm256_cmpgt_epi64(b_vec, picked);
-                if _mm256_movemask_epi8(unfinished) == 0 {
+                let todo_a = _mm256_cmpgt_epi64(b_vec, a.picked);
+                let todo_b = _mm256_cmpgt_epi64(b_vec, b.picked);
+                if _mm256_movemask_epi8(_mm256_or_si256(todo_a, todo_b)) == 0 {
                     break;
                 }
-                state = _mm256_add_epi64(state, gamma);
-                let x = pkt::mix64(state);
-                // next_below(64) is a multiply-shift by 64: the top 6 bits.
-                let pos = _mm256_srli_epi64::<58>(x);
-                let bit = _mm256_sllv_epi64(one, pos);
-                let is_new = _mm256_cmpeq_epi64(_mm256_and_si256(mask, bit), zero);
-                let take = _mm256_and_si256(unfinished, is_new);
-                mask = _mm256_or_si256(mask, _mm256_and_si256(bit, take));
-                // Compare results are all-ones (-1): subtracting adds 1.
-                picked = _mm256_sub_epi64(picked, take);
+                a.step(todo_a);
+                b.step(todo_b);
             }
 
-            // Position draw: counter values are linear across the batch,
-            // so lane i's counter is draw_counter + base + i + 1.
-            let dc = _mm256_add_epi64(
-                _mm256_set1_epi64x(draw_counter.wrapping_add(base) as i64),
-                lane_offsets,
-            );
-            let draw = pkt::mix64(_mm256_xor_si256(h, pkt::mullo64(dc, draw_salt)));
-            // nth = (u128(draw) * b) >> 64 decomposed into 32-bit products:
-            // hi32(draw)*b + (lo32(draw)*b >> 32), all shifted down 32.
-            let lo_prod = _mm256_mul_epu32(draw, b_vec);
-            let hi_prod = _mm256_mul_epu32(_mm256_srli_epi64::<32>(draw), b_vec);
-            let nth = _mm256_srli_epi64::<32>(_mm256_add_epi64(
-                hi_prod,
-                _mm256_srli_epi64::<32>(lo_prod),
-            ));
-
-            let masks = pkt::to_array(mask);
-            let nths = pkt::to_array(nth);
-            for (lane, &lane_hash) in chunk.iter().enumerate() {
-                scratch.word_idx.push((lane_hash % num_words) as usize);
-                scratch.mask.push(masks[lane]);
-                scratch.pos.push(nth_set_bit_pdep(masks[lane], nths[lane] as u32) as u8);
+            // Packet i of the batch draws with counter value
+            // draw_counter + i + 1.
+            let first_dc = draw_counter.wrapping_add(base).wrapping_add(1);
+            let masks = [pkt::to_array(a.mask), pkt::to_array(b.mask)];
+            let nths = [
+                draw_nth(h_a, first_dc, b_vec),
+                draw_nth(h_b, first_dc.wrapping_add(LANE_WIDTH as u64), b_vec),
+            ];
+            let lanes = round.iter().zip(masks.as_flattened()).zip(nths.as_flattened());
+            for ((&h, &mask), &nth) in lanes {
+                scratch.word_idx.push(word_index(h, num_words));
+                scratch.mask.push(mask);
+                scratch.pos.push(nth_set_bit_pdep(mask, nth as u32) as u8);
             }
-            base += LANE_WIDTH as u64;
+            base += ROUND as u64;
         }
 
         super::fill_placements_scalar(
-            chunks.remainder(),
+            rounds.remainder(),
             num_words,
             vector_bits,
             draw_counter.wrapping_add(base),
@@ -314,20 +377,30 @@ mod tests {
 
     #[test]
     fn dispatch_matches_scalar_oracle_on_every_length_and_geometry() {
-        // Every tail residue, several vector widths, an odd word count
-        // (num_words is memory/8, never forced to a power of two) and a
-        // nonzero starting draw counter.
-        for &b in &[2u32, 3, 8, 16, 63, 64] {
-            for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 13, 100] {
-                let hs = hashes(len);
-                let mut via_dispatch = PlacementScratch::default();
-                let mut via_scalar = PlacementScratch::default();
-                derive_placements(&hs, 12_289, b, 0xFFFF_FFFF_FFFF_FFF0, &mut via_dispatch);
-                derive_placements_scalar(&hs, 12_289, b, 0xFFFF_FFFF_FFFF_FFF0, &mut via_scalar);
-                assert_eq!(via_dispatch.word_idx, via_scalar.word_idx, "b={b} len={len}");
-                assert_eq!(via_dispatch.mask, via_scalar.mask, "b={b} len={len}");
-                assert_eq!(via_dispatch.pos, via_scalar.pos, "b={b} len={len}");
-                assert_eq!(via_dispatch.len(), len);
+        // Several vector widths; an odd word count (num_words is
+        // memory/8, never forced to a power of two) and serve's 4096-word
+        // L1, which takes the masked word index; a nonzero starting draw
+        // counter; and lengths that cover whole eight-packet rounds and
+        // every tail residue after them.
+        let lens = [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 13, 15, 16, 17, 23, 100, 256];
+        for num_words in [12_289u64, 4096] {
+            for &b in &[2u32, 3, 8, 16, 63, 64] {
+                for len in lens {
+                    let hs = hashes(len);
+                    let ctx = format!("num_words={num_words} b={b} len={len}");
+                    let dc = 0xFFFF_FFFF_FFFF_FFF0;
+                    let mut via_dispatch = PlacementScratch::default();
+                    let mut via_scalar = PlacementScratch::default();
+                    derive_placements(&hs, num_words, b, dc, &mut via_dispatch);
+                    derive_placements_scalar(&hs, num_words, b, dc, &mut via_scalar);
+                    assert_eq!(via_dispatch.word_idx, via_scalar.word_idx, "{ctx}");
+                    assert_eq!(via_dispatch.mask, via_scalar.mask, "{ctx}");
+                    assert_eq!(via_dispatch.pos, via_scalar.pos, "{ctx}");
+                    assert_eq!(via_dispatch.len(), len, "{ctx}");
+                    for (i, &h) in hs.iter().enumerate() {
+                        assert_eq!(via_dispatch.word_idx[i] as u64, h % num_words, "{ctx} i={i}");
+                    }
+                }
             }
         }
     }
