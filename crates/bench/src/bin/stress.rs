@@ -85,8 +85,8 @@ fn run(args: &BenchArgs) -> Snapshot {
     }
 
     // Batched multi-core leg: the same streaming generator feeds the
-    // manager/worker pipeline (O(batch × workers) manager memory — no
-    // pre-loaded trace), swept over batch sizes so the dispatch
+    // sharded runtime (O(batch × workers) lane memory — no pre-loaded
+    // trace), swept over batch sizes so the dispatch
     // amortization is visible in the metrics JSON.
     let sweep_cfg = StreamConfig {
         flows: (60_000.0 * args.scale) as usize,

@@ -8,7 +8,6 @@
 //! C. hash reuse across layers vs independent L2 hashing
 //! D. WSAF probe limit
 //! E. WSAF eviction policy (second-chance vs min-packets vs oldest)
-//! F. WSAF organization: per-worker shards vs a lock-striped shared table
 
 use std::collections::HashMap;
 
@@ -119,11 +118,13 @@ fn study_probe_limit(trace: &Trace, seed: u64) {
     }
 }
 
-fn study_eviction(trace: &Trace, seed: u64) {
+/// Study E; its tables' telemetry is the `--metrics-json` payload.
+fn study_eviction(trace: &Trace, seed: u64) -> Snapshot {
     println!("# E. WSAF eviction policy under overload: true-top-100 retention");
     println!("policy\ttop100_retained\tevictions");
     let truth_top: Vec<FlowKey> =
         trace.stats.truth.top_k(100, false).into_iter().map(|(k, _)| k).collect();
+    let mut snap = Snapshot::new();
     for (name, policy) in [
         ("second_chance", EvictionPolicy::SecondChance),
         ("min_packets", EvictionPolicy::MinPackets),
@@ -147,73 +148,9 @@ fn study_eviction(trace: &Trace, seed: u64) {
         }
         let retained = truth_top.iter().filter(|k| table.get(k).is_some()).count();
         println!("{name}\t{retained}\t{}", table.stats().evictions);
+        snap.merge(&table.telemetry().prefixed(name));
+        snap.set_gauge(format!("fig.{name}_top100_retained"), retained as f64);
     }
-}
-
-fn study_shared_vs_sharded(trace: &Trace, seed: u64) -> Snapshot {
-    use instameasure_core::multicore::{run_multicore, MultiCoreConfig};
-    use instameasure_core::shared_wsaf::StripedWsaf;
-    use instameasure_core::InstaMeasureConfig;
-    use std::time::Instant;
-
-    println!("# F. WSAF organization under 4 workers: per-worker shards vs striped shared table");
-    println!("design	throughput_mpps	top10_hits");
-    let truth_top: Vec<FlowKey> =
-        trace.stats.truth.top_k(10, false).into_iter().map(|(k, _)| k).collect();
-
-    // Sharded (the paper's design): run_multicore.
-    let cfg = MultiCoreConfig::builder()
-        .workers(4)
-        .queue_capacity(8192)
-        .per_worker(
-            InstaMeasureConfig::default()
-                .with_sketch(sketch_cfg(seed))
-                .with_wsaf(WsafConfig::builder().entries_log2(16).build().unwrap()),
-        )
-        .build()
-        .unwrap();
-    let (sys, report) = run_multicore(&trace.records, &cfg);
-    let sharded_top: Vec<FlowKey> = sys.top_k_by_packets(10).into_iter().map(|(k, _)| k).collect();
-    let sharded_hits = truth_top.iter().filter(|k| sharded_top.contains(k)).count();
-    println!("sharded	{:.2}	{sharded_hits}", report.throughput_pps / 1e6);
-
-    // Striped shared table: same dispatch, workers share one WSAF.
-    let shared =
-        StripedWsaf::new(WsafConfig::builder().entries_log2(18).build().unwrap(), 4).unwrap();
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for w in 0..4usize {
-            let shared = &shared;
-            let records = &trace.records;
-            scope.spawn(move || {
-                let mut fr = FlowRegulator::new(sketch_cfg(seed ^ w as u64));
-                for r in records {
-                    if instameasure_core::multicore::worker_for(&r.key, 4) == w {
-                        if let Some(u) = fr.process(r) {
-                            shared.accumulate(&u.key, u.est_pkts, u.est_bytes, u.ts_nanos);
-                        }
-                    }
-                }
-            });
-        }
-    });
-    let striped_mpps = trace.records.len() as f64 / start.elapsed().as_secs_f64() / 1e6;
-    let striped_top: Vec<FlowKey> =
-        shared.top_k_by_packets(10).into_iter().map(|e| e.key).collect();
-    let striped_hits = truth_top.iter().filter(|k| striped_top.contains(k)).count();
-    println!("striped	{striped_mpps:.2}	{striped_hits}");
-    println!(
-        "# (single global namespace vs partitioned; wall-clock comparison needs >= 4 host cores)"
-    );
-
-    // Study F is the one that exercises full systems, so its telemetry is
-    // the interesting --metrics-json payload: the sharded run's merged
-    // per-worker counters plus the striped table's merged stripe stats.
-    let mut snap = report.telemetry.clone();
-    snap.merge(&sys.telemetry().prefixed("sharded"));
-    snap.merge(&shared.telemetry().prefixed("striped"));
-    snap.set_gauge("fig.sharded_top10_hits", sharded_hits as f64);
-    snap.set_gauge("fig.striped_top10_hits", striped_hits as f64);
     snap
 }
 
@@ -230,6 +167,5 @@ pub fn run(args: &BenchArgs) -> Snapshot {
     study_classes(&trace, min_size, args.seed);
     study_hash_reuse(&trace, min_size, args.seed);
     study_probe_limit(&trace, args.seed);
-    study_eviction(&trace, args.seed);
-    study_shared_vs_sharded(&trace, args.seed)
+    study_eviction(&trace, args.seed)
 }

@@ -11,7 +11,7 @@
 //!
 //! The batch sweep (batch sizes 1/64/256/1024 at a fixed worker count)
 //! shows why dispatch is batched at all: at batch 1 every packet pays a
-//! queue synchronization, and the manager — not the sketch — is the
+//! queue synchronization, and dispatch — not the sketch — is the
 //! bottleneck. The differential test suite guarantees the sweep changes
 //! only speed, never results.
 
@@ -124,7 +124,7 @@ pub fn run(args: &BenchArgs) -> Snapshot {
             },
             PaperCheck {
                 name: "batched dispatch amortizes queue synchronization".into(),
-                paper: "per-packet sends bottleneck the manager (cf. PriMe's front buffer)".into(),
+                paper: "per-packet sends bottleneck dispatch (cf. PriMe's front buffer)".into(),
                 measured: format!(
                     "batch 1 -> 64 -> 256: {:.2} -> {:.2} -> {:.2} Mpps{}",
                     batch_mpps[0],

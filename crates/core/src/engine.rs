@@ -1,30 +1,41 @@
-//! The live measurement engine behind the daemon: thread-per-shard
-//! ownership, lock-free ingest, queries answered inside the owning shard.
+//! The sharded runtime of paper Fig. 5: thread-per-shard ownership,
+//! lock-free batched ingest, queries answered inside the owning shard.
 //!
-//! The offline pipeline ([`instameasure_core::multicore`]) runs one
-//! manager over one finite iterator and tears everything down at
-//! end-of-stream. A daemon has neither: ingest arrives on many
-//! connections, queries arrive while packets flow, and the stream only
-//! ends when an operator says so. Earlier revisions kept each shard's
-//! [`InstaMeasure`] behind a mutex locked per batch; this engine removes
-//! that lock from the hot path entirely:
+//! Each packet goes to shard `popcount(src IP) mod N` ([`worker_for`]),
+//! so all packets of a flow meet one shard, and each shard's worker owns
+//! its FlowRegulator and WSAF memory outright — the paper's "memory
+//! blocks exclusively to each worker core". The `serve` daemon runs an
+//! engine for as long as an operator wants, fed by one lane per
+//! connection; [`crate::multicore`] runs one over a finite stream through
+//! a single lane and keeps the drained shards.
 //!
 //! * **Thread-per-shard ownership.** Each shard's sketch state is a plain
 //!   (unshared) [`InstaMeasure`] owned by one worker thread, optionally
 //!   pinned to a CPU ([`EngineConfig::pin`]) so megabytes of regulator
-//!   and WSAF arrays stay cache-resident. Flow→shard routing is the same
-//!   popcount rule as the offline pipeline ([`worker_for`]), so all
-//!   packets of a flow still meet one shard.
-//! * **SPSC ring ingest.** Each [`IngestLane`] (one per connection) holds
-//!   a bounded [`crate::ring`] pair per shard: a forward ring carrying
-//!   filled batches and a return ring carrying drained buffers back, the
-//!   same recycling discipline as the offline manager, so the steady
-//!   state allocates nothing and neither enqueue nor drain takes a lock.
-//!   A full ring spins the pusher (counted in `service.ring.full_stalls`)
-//!   — the backpressure that ultimately closes the remote tap's TCP
-//!   window. Workers discover new lanes through a mailbox guarded by a
-//!   mutex plus a generation counter, so the per-batch path costs one
+//!   and WSAF arrays stay cache-resident.
+//! * **Batched SPSC ring ingest.** Moving one record per queue operation
+//!   makes synchronization the hot path long before the sketch is (the
+//!   economics behind PriMe's SRAM front buffer), so an [`IngestLane`]
+//!   fills per-shard buffers of [`EngineConfig::batch_size`] records and
+//!   ships whole batches. It holds a bounded [`crate::ring`] pair per
+//!   shard: a forward ring carrying filled batches and a return ring
+//!   carrying drained buffers back, so the steady state allocates nothing
+//!   and neither enqueue nor drain takes a lock. Batching never reorders
+//!   packets within a shard's stream, so each shard's state is
+//!   bit-identical to a single-core replay of its share of the trace, at
+//!   any batch size. Workers discover new lanes through a mailbox guarded
+//!   by a mutex plus a generation counter, so the per-batch path costs one
 //!   relaxed atomic load, not a lock.
+//! * **Backpressure is a lane policy.** A full ring stalls the pusher of a
+//!   blocking lane ([`Engine::lane`], counted in
+//!   `service.ring.full_stalls`): it yields, then sleeps in short steps so
+//!   a stalled pusher does not take the CPU from the worker it waits for.
+//!   That is the backpressure that ultimately closes the remote tap's TCP
+//!   window. A shedding lane, which [`crate::multicore`] opens for
+//!   [`crate::multicore::BackpressurePolicy::Drop`], drops the whole batch
+//!   instead and counts its packets against the shard, as an overrun
+//!   mirror port loses a burst (§IV-B): per shard,
+//!   `processed + shed == offered`.
 //! * **Queries through the control mailbox.** Nothing copies a shard to
 //!   answer a query. A query posts a job carrying a one-shot reply
 //!   channel to the owning worker's control mailbox; the worker runs it
@@ -51,37 +62,40 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use instameasure_core::detect::EpochFeatures;
-use instameasure_core::multicore::{worker_for, MAX_BATCH_SIZE};
-use instameasure_core::{InstaMeasure, InstaMeasureConfig};
 use instameasure_packet::{FlowKey, PacketRecord};
 use instameasure_telemetry::{
     AtomicCell, Counter, Histogram, Instrumented, SharedRegistry, Snapshot,
 };
 
 use crate::affinity;
+use crate::detect::EpochFeatures;
+use crate::multicore::{worker_for, MAX_BATCH_SIZE};
 use crate::ring::{ring, PushError, RingConsumer, RingProducer};
-use crate::wire::TopFlow;
+use crate::{InstaMeasure, InstaMeasureConfig};
 
 /// Batches a worker drains from one lane before giving others a turn.
 const DRAIN_QUANTUM: usize = 8;
-/// Idle loop iterations (yields) before a worker parks on its condvar.
+/// Yields before a waiting thread blocks: an idle worker then parks on its
+/// condvar, a lane at a full ring sleeps.
 const SPIN_ROUNDS: u32 = 64;
 /// Parked workers re-check their flags at least this often, so a lost
 /// wakeup costs bounded latency, never liveness.
 const PARK_TIMEOUT: Duration = Duration::from_micros(200);
+/// How long a blocking lane sleeps per retry once a full ring has
+/// outlasted its spin rounds.
+const STALL_SLEEP: Duration = Duration::from_micros(50);
 
 /// Geometry of the live engine.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// Worker shard count.
     pub workers: usize,
-    /// Packets per dispatch batch (same economics as the offline
-    /// pipeline's [`instameasure_core::multicore::MultiCoreConfig::batch_size`]).
+    /// Packets per dispatch batch, at most [`MAX_BATCH_SIZE`].
     pub batch_size: usize,
-    /// Per-shard ring capacity in whole batches.
+    /// Per-shard ring capacity in whole batches (rounded up to a power of
+    /// two, minimum 2).
     pub queue_batches: usize,
     /// Pin worker `w` to CPU `w mod available` ([`affinity`]); off by
     /// default because it is an optimization that a best-effort failure
@@ -126,6 +140,39 @@ pub struct DrainReport {
     pub processed: u64,
     /// Per-worker processed counts.
     pub per_worker: Vec<u64>,
+    /// Per-worker wall time from worker start to worker exit, in
+    /// nanoseconds.
+    pub busy_nanos: Vec<u64>,
+}
+
+/// One merged heavy-hitter entry in a top-K answer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TopFlow {
+    /// The flow.
+    pub key: FlowKey,
+    /// Estimated packets.
+    pub packets: f64,
+    /// Estimated bytes.
+    pub bytes: f64,
+}
+
+/// One shard's top-`k` flows by packets, read from its WSAF.
+pub(crate) fn shard_top_k(im: &InstaMeasure, k: usize) -> Vec<TopFlow> {
+    let top = im.wsaf().top_k_by_packets(k).into_iter();
+    top.map(|e| TopFlow { key: e.key, packets: e.packets, bytes: e.bytes }).collect()
+}
+
+/// Merges per-shard top-`k` lists into the global top-`k`: packets
+/// descending, ties by key, so every caller lists tied flows in one
+/// order.
+pub(crate) fn merge_top_k(
+    per_shard: impl IntoIterator<Item = Vec<TopFlow>>,
+    k: usize,
+) -> Vec<TopFlow> {
+    let mut all: Vec<TopFlow> = per_shard.into_iter().flatten().collect();
+    all.sort_by(|a, b| b.packets.total_cmp(&a.packets).then_with(|| a.key.cmp(&b.key)));
+    all.truncate(k);
+    all
 }
 
 /// One shard's measurement state and the epoch it belongs to. The
@@ -254,10 +301,17 @@ fn wake(shard: &Shard) {
     }
 }
 
+/// What a worker hands back when it exits.
+struct WorkerExit {
+    processed: u64,
+    busy_nanos: u64,
+    state: ShardState,
+}
+
 /// Where the shard states live: on the running workers, or — once
 /// drained — in the engine itself.
 enum Phase {
-    Live(Vec<thread::JoinHandle<(u64, ShardState)>>),
+    Live(Vec<thread::JoinHandle<WorkerExit>>),
     Drained { report: DrainReport, states: Vec<ShardState> },
 }
 
@@ -287,13 +341,15 @@ pub struct Engine {
 /// Per-worker context moved into the worker thread.
 struct WorkerCtx {
     shard: Arc<Shard>,
+    per_worker: InstaMeasureConfig,
     packets_ctr: Counter<AtomicCell>,
     pinned_ctr: Counter<AtomicCell>,
     pin_cpu: Option<usize>,
 }
 
 impl Engine {
-    /// Boots the engine: builds the shards and spawns the worker threads.
+    /// Boots the engine: spawns one worker thread per shard, which builds
+    /// its shard's state.
     /// Metrics are registered in `registry` under `service.*`.
     ///
     /// # Panics
@@ -358,15 +414,15 @@ impl Engine {
         for (w, shard) in shards.iter().enumerate() {
             let ctx = WorkerCtx {
                 shard: Arc::clone(shard),
+                per_worker: cfg.per_worker,
                 packets_ctr: worker_packets[w].clone(),
                 pinned_ctr: pinned.clone(),
                 pin_cpu: cfg.pin.then_some(w % cpus),
             };
-            let im = InstaMeasure::new(cfg.per_worker);
             handles.push(
                 thread::Builder::new()
                     .name(format!("im-shard-{w}"))
-                    .spawn(move || worker_loop(&ctx, im))
+                    .spawn(move || worker_loop(&ctx))
                     .expect("spawning a shard worker thread"),
             );
         }
@@ -389,10 +445,23 @@ impl Engine {
         }
     }
 
-    /// Opens an ingest lane for one connection, or `None` if the engine
-    /// is draining.
+    /// Opens a blocking ingest lane for one connection, or `None` if the
+    /// engine is draining. A full shard ring stalls the lane until the
+    /// worker frees a slot.
     #[must_use]
     pub fn lane(&self) -> Option<IngestLane> {
+        self.open_lane(false)
+    }
+
+    /// Opens a shedding ingest lane, or `None` if the engine is draining.
+    /// A full shard ring drops the whole batch instead of stalling; the
+    /// lane counts the dropped packets per shard ([`IngestLane::shed`]).
+    #[must_use]
+    pub(crate) fn shedding_lane(&self) -> Option<IngestLane> {
+        self.open_lane(true)
+    }
+
+    fn open_lane(&self, shedding: bool) -> Option<IngestLane> {
         if !self.open.load(Ordering::SeqCst) {
             return None;
         }
@@ -426,6 +495,8 @@ impl Engine {
             pending: (0..workers).map(|_| Vec::with_capacity(self.batch_size)).collect(),
             batch_size: self.batch_size,
             accepted: 0,
+            shedding,
+            shed: vec![0; workers],
             submitted_ctr: self.submitted.clone(),
             batches_ctr: self.batches.clone(),
             batch_fill: self.batch_fill.clone(),
@@ -529,18 +600,7 @@ impl Engine {
     /// state, never a mix. Ingest never pauses.
     #[must_use]
     pub fn top_k(&self, k: usize) -> Vec<TopFlow> {
-        let mut all: Vec<TopFlow> = self
-            .ask_all(move |state| {
-                let top = state.im.wsaf().top_k_by_packets(k).into_iter();
-                top.map(|e| TopFlow { key: e.key, packets: e.packets, bytes: e.bytes })
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        all.sort_by(|a, b| b.packets.total_cmp(&a.packets).then_with(|| a.key.cmp(&b.key)));
-        all.truncate(k);
-        all
+        merge_top_k(self.ask_all(move |state| shard_top_k(&state.im, k)), k)
     }
 
     /// Distinct flows currently resident across all WSAF shards. Served
@@ -629,15 +689,28 @@ impl Engine {
             shard.draining.store(true, Ordering::SeqCst);
             wake(shard);
         }
-        let (per_worker, states): (Vec<u64>, Vec<ShardState>) =
-            handles.into_iter().map(|h| h.join().expect("worker thread must not panic")).unzip();
+        let exits: Vec<WorkerExit> =
+            handles.into_iter().map(|h| h.join().expect("worker thread must not panic")).collect();
         let report = DrainReport {
             submitted: self.submitted.get(),
-            processed: per_worker.iter().sum(),
-            per_worker,
+            processed: exits.iter().map(|e| e.processed).sum(),
+            per_worker: exits.iter().map(|e| e.processed).collect(),
+            busy_nanos: exits.iter().map(|e| e.busy_nanos).collect(),
         };
+        let states = exits.into_iter().map(|e| e.state).collect();
         *phase = Phase::Drained { report: report.clone(), states };
         report
+    }
+
+    /// Drains the engine and hands over every shard's final measurement
+    /// state, in shard order.
+    pub(crate) fn into_shards(self) -> (DrainReport, Vec<InstaMeasure>) {
+        let report = self.drain();
+        let states = match &mut *lock(&self.phase) {
+            Phase::Drained { states, .. } => std::mem::take(states),
+            Phase::Live(_) => unreachable!("drain leaves the engine drained"),
+        };
+        (report, states.into_iter().map(|s| s.im).collect())
     }
 
     /// Test hook: make every worker dawdle `nanos` per batch (0 disarms),
@@ -692,8 +765,10 @@ impl Instrumented for Engine {
 /// The owning worker: drains its lanes' rings, applies batches to its
 /// private `InstaMeasure`, runs queued jobs at batch boundaries, and
 /// exits only after the drain handshake has emptied and closed every
-/// ring, returning `(processed, final state)`.
-fn worker_loop(ctx: &WorkerCtx, im: InstaMeasure) -> (u64, ShardState) {
+/// ring, handing back its count, its lifetime and its final state. The
+/// worker builds its shard's state itself, after pinning, so the shards
+/// build in parallel and each first touches its memory from its own CPU.
+fn worker_loop(ctx: &WorkerCtx) -> WorkerExit {
     if let Some(cpu) = ctx.pin_cpu {
         if affinity::pin_current_thread(cpu) {
             ctx.pinned_ctr.inc();
@@ -701,7 +776,8 @@ fn worker_loop(ctx: &WorkerCtx, im: InstaMeasure) -> (u64, ShardState) {
     }
     let shard = &*ctx.shard;
     let _close = CloseOnExit(shard);
-    let mut state = ShardState { im, epoch: 0 };
+    let mut state = ShardState { im: InstaMeasure::new(ctx.per_worker), epoch: 0 };
+    let started = Instant::now();
     let mut lanes: Vec<LaneRings> = Vec::new();
     let mut seen_gen = 0u64;
     let mut processed = 0u64;
@@ -758,7 +834,8 @@ fn worker_loop(ctx: &WorkerCtx, im: InstaMeasure) -> (u64, ShardState) {
             for job in pending {
                 job(shard, &mut state);
             }
-            return (processed, state);
+            let busy_nanos = started.elapsed().as_nanos() as u64;
+            return WorkerExit { processed, busy_nanos, state };
         }
 
         idle_rounds += 1;
@@ -855,7 +932,8 @@ fn park(shard: &Shard) {
 /// One connection's private ingest path: per-shard batch buffers plus the
 /// producing ends of the per-shard ring pairs. Dropping a lane flushes
 /// its partial batches, so every decoded record is delivered exactly once
-/// even when the connection dies mid-stream.
+/// (or, on a shedding lane, shed and counted) even when the connection
+/// dies mid-stream.
 pub struct IngestLane {
     ports: Vec<LanePort>,
     shards: Vec<Arc<Shard>>,
@@ -863,6 +941,10 @@ pub struct IngestLane {
     pending: Vec<Vec<PacketRecord>>,
     batch_size: usize,
     accepted: u64,
+    /// Drop batches at a full ring instead of stalling.
+    shedding: bool,
+    /// Packets shed per shard (all zero on a blocking lane).
+    shed: Vec<u64>,
     submitted_ctr: Counter<AtomicCell>,
     batches_ctr: Counter<AtomicCell>,
     batch_fill: Histogram<AtomicCell>,
@@ -873,8 +955,9 @@ pub struct IngestLane {
 
 impl IngestLane {
     /// Routes a decoded batch into the per-shard buffers, shipping every
-    /// buffer that fills. Spins (with yields) when a shard ring is full —
-    /// that is the backpressure propagating to the socket.
+    /// buffer that fills. When a shard ring is full, a blocking lane spins
+    /// (with yields) — that is the backpressure propagating to the socket
+    /// — and a shedding lane drops the batch.
     ///
     /// # Errors
     ///
@@ -891,7 +974,7 @@ impl IngestLane {
     /// # Errors
     ///
     /// The errors of [`IngestLane::submit`].
-    pub(crate) fn submit_iter(
+    pub fn submit_iter(
         &mut self,
         records: impl IntoIterator<Item = PacketRecord>,
     ) -> Result<(), EngineClosed> {
@@ -923,10 +1006,23 @@ impl IngestLane {
         Ok(())
     }
 
-    /// Packets accepted on this lane so far (what the fin-ack reports).
+    /// Packets accepted on this lane so far (what the fin-ack reports),
+    /// shed packets included.
     #[must_use]
     pub fn accepted(&self) -> u64 {
         self.accepted
+    }
+
+    /// Packets this lane shed at full rings, per shard.
+    #[must_use]
+    pub(crate) fn shed(&self) -> &[u64] {
+        &self.shed
+    }
+
+    /// Batches waiting in this lane's shard rings (racy by nature).
+    #[must_use]
+    pub(crate) fn queued_batches(&self) -> usize {
+        self.ports.iter().map(|p| p.fwd.len()).sum()
     }
 
     fn ship(&mut self, w: usize) -> Result<(), EngineClosed> {
@@ -941,7 +1037,7 @@ impl IngestLane {
         let full = std::mem::take(&mut self.pending[w]);
         let n = full.len() as u64;
         let mut item = full;
-        let mut stalled = false;
+        let mut stalls = 0u32;
         loop {
             match self.ports[w].fwd.push(item) {
                 Ok(()) => {
@@ -957,13 +1053,23 @@ impl IngestLane {
                         .unwrap_or_else(|| Vec::with_capacity(self.batch_size));
                     return Ok(());
                 }
+                Err(PushError::Full(mut back)) if self.shedding => {
+                    back.clear();
+                    self.pending[w] = back;
+                    self.shed[w] += n;
+                    return Ok(());
+                }
                 Err(PushError::Full(back)) => {
-                    if !stalled {
+                    if stalls == 0 {
                         self.ring_stalls.inc();
-                        stalled = true;
                     }
+                    stalls += 1;
                     wake(&self.shards[w]);
-                    thread::yield_now();
+                    if stalls < SPIN_ROUNDS {
+                        thread::yield_now();
+                    } else {
+                        thread::sleep(STALL_SLEEP);
+                    }
                     item = back;
                 }
                 Err(PushError::Closed(back)) => {
@@ -1243,6 +1349,54 @@ mod tests {
         assert_eq!(snap.counter("service.ingest.rejected_packets").unwrap_or(0), 0);
         // A third shutdown still returns the same report.
         assert_eq!(engine.drain(), a);
+    }
+
+    #[test]
+    fn shedding_lane_drops_whole_batches_and_counts_them_per_shard() {
+        let engine = test_engine(2);
+        // Dawdle 1 ms per batch: the lane ships hundreds of batches in far
+        // less time, so the 4-batch rings fill and stay full.
+        engine.debug_set_worker_stall(1_000_000);
+        let offered_per_shard = |recs: &[PacketRecord]| {
+            let mut offered = [0u64; 2];
+            for r in recs {
+                offered[worker_for(&r.key, 2)] += 1;
+            }
+            offered
+        };
+        let shed_recs = records(20_000, 64);
+        let mut shedding = engine.shedding_lane().unwrap();
+        shedding.submit(&shed_recs).unwrap();
+        shedding.flush().unwrap();
+        let shed = shedding.shed().to_vec();
+        let shed_accepted = shedding.accepted();
+        drop(shedding);
+        let shed_total: u64 = shed.iter().sum();
+        assert!(shed_total > 0, "full rings must make the lane shed");
+        assert_eq!(shed_total, shed_accepted - engine.packets_submitted());
+
+        // A blocking lane on the same stalled engine waits instead.
+        let block_recs = records(1_000, 16);
+        let mut blocking = engine.lane().unwrap();
+        blocking.submit(&block_recs).unwrap();
+        blocking.flush().unwrap();
+        assert_eq!(blocking.shed(), &[0, 0], "a blocking lane never sheds");
+        drop(blocking);
+
+        engine.debug_set_worker_stall(0);
+        let report = engine.drain();
+        assert_eq!(report.processed, report.submitted);
+        assert_eq!(report.submitted + shed_total, shed_accepted + 1_000);
+        let (a, b) = (offered_per_shard(&shed_recs), offered_per_shard(&block_recs));
+        for w in 0..2 {
+            assert_eq!(report.per_worker[w] + shed[w], a[w] + b[w], "shard {w}");
+            // Whole batches shed: full ones, plus at most the flushed tail.
+            assert!(
+                shed[w].is_multiple_of(64) || shed[w] % 64 == a[w] % 64,
+                "shard {w}: {}",
+                shed[w]
+            );
+        }
     }
 
     #[test]

@@ -6,10 +6,14 @@
 //!   [`instameasure_sketch::FlowRegulator`] whose saturation events are
 //!   accumulated into an in-DRAM [`instameasure_wsaf::WsafTable`]. Queries
 //!   combine the WSAF counters with the sketch residual.
-//! * [`multicore`] — the manager/worker system of paper Fig. 5: a manager
-//!   thread dispatches packets by the popcount of the source address, in
-//!   recycled batches that amortize queue synchronization, to workers with
-//!   exclusive FlowRegulators and WSAF shards.
+//! * [`engine`] — the sharded runtime of paper Fig. 5: one thread per
+//!   shard owns an exclusive FlowRegulator and WSAF shard, ingest lanes
+//!   route packets by the popcount of the source address into lock-free
+//!   SPSC [`ring`]s in recycled batches, and queries run inside the owning
+//!   shard. The `serve` daemon and every offline replay run on it.
+//! * [`multicore`] — the offline face of that runtime: replay a finite
+//!   packet stream through one lane of a fresh engine and keep the drained
+//!   shards, with a per-run report.
 //! * [`heavy_hitter`] — threshold detection over the WSAF, in packets and
 //!   in bytes, with false-positive/negative evaluation (Fig. 14).
 //! * [`latency`] — the three decoding disciplines of §II (packet-arrival,
@@ -30,8 +34,6 @@
 //! * [`planner`] — picks (vector size, layer count) for a link's rate and
 //!   WSAF memory technology using the exact chain model (§V-B's margin
 //!   remark, operationalized).
-//! * [`shared_wsaf`] — a lock-striped shared WSAF, the measured
-//!   alternative to the paper's per-worker sharding.
 //!
 //! # Example
 //!
@@ -48,12 +50,17 @@
 //! assert!((est - 50_000.0).abs() / 50_000.0 < 0.15, "{est}");
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny` rather than `forbid`: the SPSC ring (slot cells behind atomics)
+// and the affinity module (one raw sched_setaffinity binding) are the
+// only `#[allow(unsafe_code)]`s.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod affinity;
 pub mod apps;
 pub mod collector;
 pub mod detect;
+pub mod engine;
 pub mod export;
 pub mod heavy_hitter;
 pub mod ingest;
@@ -61,7 +68,7 @@ pub mod latency;
 pub mod metrics;
 pub mod multicore;
 pub mod planner;
-pub mod shared_wsaf;
+pub mod ring;
 mod system;
 pub mod windowed;
 

@@ -1,24 +1,11 @@
-//! The multi-core measurement system of paper Fig. 5, with batched ingest.
+//! Offline replays on the sharded runtime of paper Fig. 5.
 //!
-//! A *manager* thread ingests the packet stream and dispatches packets
-//! to one of `N` *worker* threads through bounded FIFO queues; the worker
-//! index is the popcount of the source IP address modulo `N` (the paper's
-//! balancing rule, which also guarantees all packets of a flow meet the
-//! same worker). Each worker owns an exclusive [`InstaMeasure`] instance —
-//! private FlowRegulator memory and a private WSAF shard — so workers never
-//! contend on counter memory, exactly as the paper allocates "memory
-//! blocks exclusively to each worker core".
-//!
-//! # Batched dispatch
-//!
-//! Sending one `PacketRecord` per channel operation makes synchronization
-//! the hot path long before the sketch is (the same economics that give
-//! PriMe its SRAM front buffer: amortize per-item transfer cost into
-//! batches). The manager therefore accumulates packets into per-worker
-//! batch buffers of [`MultiCoreConfig::batch_size`] packets and ships whole
-//! `Vec<PacketRecord>` batches; a worker drains a whole batch into its
-//! [`InstaMeasure`] before touching the queue again. Buffers are recycled
-//! through a return channel so the steady state allocates nothing.
+//! [`run_multicore_stream`] boots a fresh [`Engine`] from a
+//! [`MultiCoreConfig`], feeds the whole packet stream through one ingest
+//! lane, drains the engine and keeps every shard's final state as a
+//! [`MultiCoreSystem`]. The workers, the popcount dispatch, the batching
+//! and the buffer recycling are the engine's, so `analyze --workers`,
+//! the figure benches and the daemon all run the same runtime code.
 //!
 //! The contract, which the differential test suite pins down exactly:
 //!
@@ -27,26 +14,31 @@
 //!   replay of that worker's shard of the trace, at any batch size.
 //! * **Flush** — partial batches are flushed at end-of-stream; under
 //!   [`BackpressurePolicy::Block`] no packet is ever lost.
-//! * **Drop accounting** — under [`BackpressurePolicy::Drop`] a full queue
-//!   drops the *whole batch* (a mirror-port overrun loses a burst, not one
-//!   frame) and every dropped packet is counted exactly, per worker:
-//!   `processed + dropped == offered` always holds.
+//! * **Drop accounting** — under [`BackpressurePolicy::Drop`] the lane
+//!   sheds: a full ring drops the *whole batch* (a mirror-port overrun
+//!   loses a burst, not one frame) and every dropped packet is counted
+//!   exactly, per worker: `processed + dropped == offered` always holds.
 
-use std::thread;
+use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::channel;
 use instameasure_packet::{FlowKey, PacketRecord};
 use instameasure_sketch::FilterStats;
-use instameasure_telemetry::{Instrumented, SharedRegistry, Snapshot};
+use instameasure_telemetry::{
+    bucket_index, HistogramSnapshot, Instrumented, LogHistogram, SharedRegistry, Snapshot,
+};
 
+use crate::engine::{merge_top_k, shard_top_k, Engine, EngineConfig};
 use crate::{InstaMeasure, InstaMeasureConfig};
 
-/// Largest accepted [`MultiCoreConfig::batch_size`]; beyond this a batch
-/// costs more cache than the channel synchronization it amortizes.
+/// Packets submitted between two queue-depth samples.
+const SAMPLE_EVERY: usize = 8192;
+
+/// Largest accepted batch size; beyond this a batch costs more cache than
+/// the ring synchronization it amortizes.
 pub const MAX_BATCH_SIZE: usize = 65_536;
 
-/// What the manager does when a worker's queue is full.
+/// What the ingest lane does when a worker's ring is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackpressurePolicy {
     /// Block until the worker drains (lossless; offline replay mode).
@@ -66,11 +58,12 @@ pub enum BackpressurePolicy {
 pub struct MultiCoreConfig {
     /// Number of worker threads (the paper evaluates 1–4).
     pub workers: usize,
-    /// Capacity of each worker's FIFO queue, in packets (rounded up to a
-    /// whole number of batches).
+    /// Capacity of each worker's ring, in packets: rounded up to a whole
+    /// number of batches, and that batch count up to a power of two, with
+    /// a minimum of 2.
     pub queue_capacity: usize,
     /// Packets per dispatch batch. 1 degenerates to per-packet sends;
-    /// the default 256 amortizes channel synchronization ~256×.
+    /// the default 256 amortizes ring synchronization ~256×.
     pub batch_size: usize,
     /// Per-worker measurement configuration (each worker gets its own
     /// sketch and WSAF shard of this size).
@@ -98,7 +91,8 @@ impl MultiCoreConfig {
         MultiCoreConfigBuilder::default()
     }
 
-    /// Per-worker channel capacity in batches (at least one).
+    /// Per-worker ring capacity in whole batches (at least one), before
+    /// the ring rounds it up.
     #[must_use]
     pub(crate) fn queue_batches(&self) -> usize {
         self.queue_capacity.div_ceil(self.batch_size).max(1)
@@ -266,13 +260,6 @@ impl MultiCoreSystem {
         self.shards.iter().map(InstaMeasure::filter_stats).collect()
     }
 
-    /// Filter work counters for each worker.
-    #[deprecated(since = "0.6.0", note = "renamed to `filter_stats`")]
-    #[must_use]
-    pub fn regulator_stats(&self) -> Vec<FilterStats> {
-        self.filter_stats()
-    }
-
     /// Telemetry of one shard (its `regulator.*` + `wsaf.*` metrics).
     ///
     /// # Panics
@@ -283,18 +270,12 @@ impl MultiCoreSystem {
         self.shards[idx].telemetry()
     }
 
-    /// Global Top-K by packets, merged across shards.
+    /// Global Top-K by packets, merged across shards the way
+    /// [`Engine::top_k`] merges them (ties by key).
     #[must_use]
     pub fn top_k_by_packets(&self, k: usize) -> Vec<(FlowKey, f64)> {
-        let mut all: Vec<(FlowKey, f64)> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.wsaf().top_k_by_packets(k))
-            .map(|e| (e.key, e.packets))
-            .collect();
-        all.sort_by(|a, b| b.1.total_cmp(&a.1));
-        all.truncate(k);
-        all
+        let merged = merge_top_k(self.shards.iter().map(|s| shard_top_k(s, k)), k);
+        merged.into_iter().map(|f| (f.key, f.packets)).collect()
     }
 }
 
@@ -314,7 +295,8 @@ impl Instrumented for MultiCoreSystem {
 /// Timing and load metrics of one multi-core run.
 #[derive(Debug, Clone)]
 pub struct RunReport {
-    /// Wall-clock processing time in nanoseconds (dispatch + drain).
+    /// Wall-clock processing time in nanoseconds (engine boot, dispatch
+    /// and drain).
     pub wall_nanos: u64,
     /// Packets processed (offered minus dropped).
     pub packets: u64,
@@ -322,38 +304,37 @@ pub struct RunReport {
     pub throughput_pps: f64,
     /// Packets handled by each worker (dispatch balance).
     pub per_worker_packets: Vec<u64>,
-    /// Packets dropped at each worker's full queue (always all-zero under
+    /// Packets dropped at each worker's full ring (always all-zero under
     /// [`BackpressurePolicy::Block`]).
     pub per_worker_dropped: Vec<u64>,
-    /// Batches successfully handed to worker queues, including end-of-stream
+    /// Batches successfully handed to worker rings, including end-of-stream
     /// flushes.
     pub batches_sent: u64,
     /// Partial batches flushed at end-of-stream (at most one per worker).
     pub batch_flushes: u64,
-    /// Queue depth samples taken by the manager while dispatching (one
-    /// per `sample_every` packets), as the paper plots in Fig. 12(c):
-    /// `(packet timestamp, queued packets)`. Depth is counted in whole
-    /// batches, so it is an upper bound on the exact packet count.
+    /// Queue depth samples taken between submits of 8,192 packets, as the
+    /// paper plots in Fig. 12(c): `(timestamp of the next packet, queued
+    /// packets)`. Depth is counted in whole batches, so it is an upper
+    /// bound on the exact packet count.
     pub queue_depth_samples: Vec<(u64, usize)>,
-    /// Sum of busy-loop work across workers in nanoseconds (CPU-work
+    /// Each worker's wall time from start to exit in nanoseconds (CPU-work
     /// proxy; meaningful even on a host with fewer physical cores than
     /// workers).
     pub worker_busy_nanos: Vec<u64>,
-    /// Packets dropped at full queues, summed over workers (always 0 under
+    /// Packets dropped at full rings, summed over workers (always 0 under
     /// [`BackpressurePolicy::Block`]).
     pub dropped: u64,
-    /// Run-level telemetry collected live through a [`SharedRegistry`]:
-    /// `multicore.worker{w}.packets` and `.busy_nanos` per worker,
-    /// `multicore.packets`/`dropped` counters, the `multicore.queue_depth`
-    /// histogram sampled by the manager, a `multicore.throughput_pps`
-    /// gauge, and the batched-ingest counters `ingest.batches_sent`,
-    /// `ingest.batch_flushes`, `ingest.dropped_pkts` (total and per worker
-    /// as `ingest.worker{w}.dropped_pkts`) plus the `ingest.batch_occupancy`
-    /// histogram over assembled batch sizes. Hot-path instrumentation rides
-    /// along: the `ingest.batch_fill` histogram records the size of every
-    /// batch a worker drained through [`InstaMeasure::process_batch`] and
-    /// the `hotpath.prefetch_enabled` gauge reports whether software
-    /// prefetch hints are compiled in (1.0 on `x86_64`, 0.0 elsewhere).
+    /// Run-level telemetry: the engine's own registry (`service.*`, the
+    /// `ingest.batch_fill` histogram of every batch a worker drained and
+    /// the `hotpath.*` gauges: prefetch, SIMD tier and CPU features) plus
+    /// the run's accounting: `multicore.worker{w}.packets` and
+    /// `.busy_nanos` per worker, the `multicore.packets`/`dropped`
+    /// counters, the `multicore.queue_depth` histogram over the depth
+    /// samples, a `multicore.throughput_pps` gauge, and the batched-ingest
+    /// counters `ingest.batches_sent`, `ingest.batch_flushes`,
+    /// `ingest.dropped_pkts` (total and per worker as
+    /// `ingest.worker{w}.dropped_pkts`) plus the `ingest.batch_occupancy`
+    /// histogram over every assembled batch, shipped or dropped.
     pub telemetry: Snapshot,
 }
 
@@ -372,9 +353,9 @@ impl RunReport {
     }
 }
 
-/// Runs the full manager/worker pipeline over a pre-loaded packet stream
-/// (the paper pre-loads the CAIDA trace into memory for its speed tests,
-/// §V-B) and returns the merged measurement plus the run report.
+/// Runs a pre-loaded packet stream through the sharded runtime (the paper
+/// pre-loads the CAIDA trace into memory for its speed tests, §V-B) and
+/// returns the merged measurement plus the run report.
 ///
 /// # Panics
 ///
@@ -390,8 +371,12 @@ pub fn run_multicore(
 
 /// Streaming variant of [`run_multicore`]: ingests packets from any
 /// iterator, so arbitrarily long traces flow through the pipeline with
-/// O(batch × workers) manager memory (the `stress` bench streams tens of
+/// O(batch × workers) lane memory (the `stress` bench streams tens of
 /// millions of packets this way).
+///
+/// It boots an [`Engine`] with the config's geometry, submits the stream
+/// through one lane — a shedding lane under [`BackpressurePolicy::Drop`]
+/// — drains the engine and keeps its shards.
 ///
 /// # Panics
 ///
@@ -402,200 +387,98 @@ pub fn run_multicore_stream<I>(packets: I, cfg: &MultiCoreConfig) -> (MultiCoreS
 where
     I: IntoIterator<Item = PacketRecord>,
 {
-    assert!(cfg.workers > 0, "need at least one worker");
     assert!(
         cfg.batch_size > 0 && cfg.batch_size <= MAX_BATCH_SIZE,
         "batch size must be in 1..={MAX_BATCH_SIZE}"
     );
     assert!(cfg.queue_capacity > 0, "queue capacity must be at least one packet");
-    let batch_size = cfg.batch_size;
-    let queue_batches = cfg.queue_batches();
-    let sample_every = 8192;
-    let registry = SharedRegistry::new();
-    registry
-        .gauge("hotpath.prefetch_enabled")
-        .set(if instameasure_packet::prefetch::prefetch_enabled() { 1.0 } else { 0.0 });
-    registry
-        .gauge("hotpath.prefetch_distance")
-        .set(instameasure_packet::prefetch::prefetch_distance() as f64);
-    registry.gauge("hotpath.simd_enabled").set(if instameasure_packet::simd::simd_enabled() {
-        1.0
-    } else {
-        0.0
-    });
-    for feature in instameasure_packet::simd::cpu_features() {
-        registry.gauge(&format!("hotpath.cpu.{feature}")).set(1.0);
-    }
-    let queue_depth = registry.histogram("multicore.queue_depth");
-    let dropped_ctr = registry.counter("multicore.dropped");
-    let batches_ctr = registry.counter("ingest.batches_sent");
-    let flushes_ctr = registry.counter("ingest.batch_flushes");
-    let ingest_dropped_ctr = registry.counter("ingest.dropped_pkts");
-    let occupancy = registry.histogram("ingest.batch_occupancy");
-    let worker_dropped_ctrs: Vec<_> = (0..cfg.workers)
-        .map(|w| registry.counter(&format!("ingest.worker{w}.dropped_pkts")))
-        .collect();
-
-    let mut senders = Vec::with_capacity(cfg.workers);
-    let mut receivers = Vec::with_capacity(cfg.workers);
-    let mut recycle_txs = Vec::with_capacity(cfg.workers);
-    let mut recycle_rxs = Vec::with_capacity(cfg.workers);
-    for _ in 0..cfg.workers {
-        let (tx, rx) = channel::bounded::<Vec<PacketRecord>>(queue_batches);
-        senders.push(tx);
-        receivers.push(rx);
-        // Return path for drained batch buffers; sized so every in-flight
-        // buffer fits and the steady state allocates nothing.
-        let (rtx, rrx) = channel::bounded::<Vec<PacketRecord>>(queue_batches + 2);
-        recycle_txs.push(rtx);
-        recycle_rxs.push(rrx);
-    }
-
+    let registry = Arc::new(SharedRegistry::new());
     let start = Instant::now();
-    let mut per_worker_packets = vec![0u64; cfg.workers];
-    let mut per_worker_dropped = vec![0u64; cfg.workers];
+    let engine = Engine::start(
+        &EngineConfig {
+            workers: cfg.workers,
+            batch_size: cfg.batch_size,
+            queue_batches: cfg.queue_batches(),
+            pin: false,
+            per_worker: cfg.per_worker,
+        },
+        Arc::clone(&registry),
+    );
+    let lane = match cfg.backpressure {
+        BackpressurePolicy::Block => engine.lane(),
+        BackpressurePolicy::Drop => engine.shedding_lane(),
+    };
+    let mut lane = lane.expect("a fresh engine opens a lane");
+
+    let mut queue_depth = LogHistogram::new();
     let mut queue_depth_samples = Vec::new();
-    let mut offered = 0u64;
-
-    let (shards, worker_busy_nanos) = thread::scope(|scope| {
-        let handles: Vec<_> = receivers
-            .into_iter()
-            .zip(recycle_txs)
-            .enumerate()
-            .map(|(w, (rx, recycle_tx))| {
-                let per_worker = cfg.per_worker;
-                let packets_ctr = registry.counter(&format!("multicore.worker{w}.packets"));
-                let busy_ctr = registry.counter(&format!("multicore.worker{w}.busy_nanos"));
-                let batch_fill = registry.histogram("ingest.batch_fill");
-                scope.spawn(move || {
-                    let mut im = InstaMeasure::new(per_worker);
-                    let busy_start = Instant::now();
-                    while let Ok(mut batch) = rx.recv() {
-                        im.process_batch(&batch);
-                        batch_fill.observe(batch.len() as u64);
-                        packets_ctr.add(batch.len() as u64);
-                        batch.clear();
-                        // Hand the drained buffer back; if the return lane
-                        // is full or the manager is gone, let it drop.
-                        let _ = recycle_tx.try_send(batch);
-                    }
-                    let nanos = busy_start.elapsed().as_nanos() as u64;
-                    busy_ctr.add(nanos);
-                    (im, nanos)
-                })
-            })
-            .collect();
-
-        // Ships one assembled batch; gives the buffer back on a Drop-mode
-        // full queue so the manager can reuse it.
-        let ship = |w: usize,
-                    full: Vec<PacketRecord>,
-                    per_worker_packets: &mut [u64],
-                    per_worker_dropped: &mut [u64]|
-         -> Option<Vec<PacketRecord>> {
-            let n = full.len() as u64;
-            occupancy.observe(n);
-            match cfg.backpressure {
-                BackpressurePolicy::Block => {
-                    senders[w].send(full).expect("worker alive while manager sends");
-                    per_worker_packets[w] += n;
-                    batches_ctr.inc();
-                    None
-                }
-                BackpressurePolicy::Drop => match senders[w].try_send(full) {
-                    Ok(()) => {
-                        per_worker_packets[w] += n;
-                        batches_ctr.inc();
-                        None
-                    }
-                    Err(channel::TrySendError::Full(batch)) => {
-                        per_worker_dropped[w] += n;
-                        dropped_ctr.add(n);
-                        ingest_dropped_ctr.add(n);
-                        worker_dropped_ctrs[w].add(n);
-                        Some(batch)
-                    }
-                    Err(channel::TrySendError::Disconnected(_)) => {
-                        unreachable!("worker alive while manager sends")
-                    }
-                },
-            }
-        };
-
-        // Manager loop: route by popcount(src) % N into per-worker batch
-        // buffers; ship each buffer when it fills.
-        let mut pending: Vec<Vec<PacketRecord>> =
-            (0..cfg.workers).map(|_| Vec::with_capacity(batch_size)).collect();
-        for pkt in packets {
-            let w = worker_for(&pkt.key, cfg.workers);
-            pending[w].push(pkt);
-            if pending[w].len() == batch_size {
-                let full = std::mem::take(&mut pending[w]);
-                match ship(w, full, &mut per_worker_packets, &mut per_worker_dropped) {
-                    // Dropped batch: its (cleared) buffer is the next one.
-                    Some(mut reclaimed) => {
-                        reclaimed.clear();
-                        pending[w] = reclaimed;
-                    }
-                    None => {
-                        pending[w] = recycle_rxs[w]
-                            .try_recv()
-                            .unwrap_or_else(|_| Vec::with_capacity(batch_size));
-                    }
-                }
-            }
-            if offered.is_multiple_of(sample_every) {
-                let depth: usize =
-                    senders.iter().map(channel::Sender::len).sum::<usize>() * batch_size;
-                queue_depth.observe(depth as u64);
-                queue_depth_samples.push((pkt.ts_nanos, depth));
-            }
-            offered += 1;
-        }
-
-        // End of stream: flush every partial batch (the flush rule — a
-        // tail shorter than batch_size must still reach its worker).
-        for (w, buf) in pending.iter_mut().enumerate() {
-            let rest = std::mem::take(buf);
-            if rest.is_empty() {
-                continue;
-            }
-            flushes_ctr.inc();
-            let _ = ship(w, rest, &mut per_worker_packets, &mut per_worker_dropped);
-        }
-        drop(senders); // close queues; workers drain and exit
-
-        let mut shards = Vec::with_capacity(cfg.workers);
-        let mut busy = Vec::with_capacity(cfg.workers);
-        for h in handles {
-            let (im, nanos) = h.join().expect("worker thread must not panic");
-            shards.push(im);
-            busy.push(nanos);
-        }
-        (shards, busy)
-    });
-
+    let mut packets = packets.into_iter();
+    while let Some(first) = packets.next() {
+        let depth = lane.queued_batches() * cfg.batch_size;
+        queue_depth.observe(depth as u64);
+        queue_depth_samples.push((first.ts_nanos, depth));
+        let chunk = std::iter::once(first).chain(packets.by_ref().take(SAMPLE_EVERY - 1));
+        lane.submit_iter(chunk).expect("nothing drains the engine before this lane is done");
+    }
+    lane.flush().expect("nothing drains the engine before this lane is done");
+    let shed = lane.shed().to_vec();
+    drop(lane);
+    let (drained, shards) = engine.into_shards();
     let wall_nanos = start.elapsed().as_nanos() as u64;
-    let dropped: u64 = per_worker_dropped.iter().sum();
-    let packets = offered - dropped;
+
+    let packets = drained.processed;
+    let dropped: u64 = shed.iter().sum();
     let throughput_pps =
         if wall_nanos == 0 { 0.0 } else { packets as f64 * 1e9 / wall_nanos as f64 };
-    registry.counter("multicore.packets").add(packets);
-    registry.gauge("multicore.throughput_pps").set(throughput_pps);
+    let mut telemetry = registry.snapshot();
+    let batches_sent = telemetry.counter("service.ingest.batches").unwrap_or(0);
+    // The lane ships or sheds a batch only when it holds `batch_size`
+    // packets, except for each worker's end-of-stream partial.
+    let batch = cfg.batch_size as u64;
+    let offered = drained.per_worker.iter().zip(&shed).map(|(p, s)| p + s);
+    let batch_flushes = offered.filter(|n| n % batch != 0).count() as u64;
+    let mut occupancy = telemetry.histogram("ingest.batch_fill").cloned().unwrap_or_default();
+    for &n in &shed {
+        observe_times(&mut occupancy, batch, n / batch);
+        observe_times(&mut occupancy, n % batch, u64::from(n % batch != 0));
+    }
+    for (w, (&n, &busy)) in drained.per_worker.iter().zip(&drained.busy_nanos).enumerate() {
+        telemetry.set_counter(format!("multicore.worker{w}.packets"), n);
+        telemetry.set_counter(format!("multicore.worker{w}.busy_nanos"), busy);
+        telemetry.set_counter(format!("ingest.worker{w}.dropped_pkts"), shed[w]);
+    }
+    telemetry.set_counter("multicore.packets", packets);
+    telemetry.set_counter("multicore.dropped", dropped);
+    telemetry.set_counter("ingest.dropped_pkts", dropped);
+    telemetry.set_counter("ingest.batches_sent", batches_sent);
+    telemetry.set_counter("ingest.batch_flushes", batch_flushes);
+    telemetry.set_histogram("ingest.batch_occupancy", occupancy);
+    telemetry.set_histogram("multicore.queue_depth", queue_depth.snapshot());
+    telemetry.set_gauge("multicore.throughput_pps", throughput_pps);
     let report = RunReport {
         wall_nanos,
         packets,
         throughput_pps,
-        per_worker_packets,
-        per_worker_dropped,
-        batches_sent: batches_ctr.get(),
-        batch_flushes: flushes_ctr.get(),
+        per_worker_packets: drained.per_worker,
+        per_worker_dropped: shed,
+        batches_sent,
+        batch_flushes,
         queue_depth_samples,
-        worker_busy_nanos,
+        worker_busy_nanos: drained.busy_nanos,
         dropped,
-        telemetry: registry.snapshot(),
+        telemetry,
     };
     (MultiCoreSystem { shards }, report)
+}
+
+/// Adds `times` observations of `value` to `hist`.
+fn observe_times(hist: &mut HistogramSnapshot, value: u64, times: u64) {
+    if times > 0 {
+        hist.buckets[bucket_index(value)] += times;
+        hist.count += times;
+        hist.sum += value * times;
+        hist.max = hist.max.max(value);
+    }
 }
 
 #[cfg(test)]
@@ -778,7 +661,7 @@ mod tests {
         let records: Vec<PacketRecord> =
             (0..30_000u64).map(|t| PacketRecord::new(key(t as u32 % 97), 64, t)).collect();
         let (sys, report) = run_multicore(&records, &cfg(3));
-        // Per-worker live counters match the manager's dispatch accounting
+        // Per-worker live counters match the report's dispatch accounting
         // and sum to the trace size.
         for (w, &n) in report.per_worker_packets.iter().enumerate() {
             assert_eq!(report.telemetry.counter(&format!("multicore.worker{w}.packets")), Some(n));

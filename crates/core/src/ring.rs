@@ -2,14 +2,13 @@
 //! fabric between an [`crate::engine::IngestLane`] and the worker thread
 //! that owns the shard.
 //!
-//! # Why not the crossbeam channel?
+//! # Why a ring
 //!
-//! The offline pipeline's bounded channels (and the shim standing in for
-//! them) take a mutex per send/recv. That is fine for a finite replay but
-//! puts every pusher and the shard worker through the same lock word on
-//! the live path. An SPSC ring needs no lock at all: with exactly one
-//! producer and one consumer, a power-of-two slot array plus two
-//! monotonic indices is enough, and each side writes only its own index.
+//! A queue that takes a mutex per send/recv puts every pusher and the
+//! shard worker through the same lock word on the hot path. An SPSC ring
+//! needs no lock at all: with exactly one producer and one consumer, a
+//! power-of-two slot array plus two monotonic indices is enough, and each
+//! side writes only its own index.
 //!
 //! # Memory ordering
 //!

@@ -3,8 +3,7 @@
 use instameasure_packet::PerFlowCounter;
 use instameasure_packet::{FlowDigest, FlowKey, PacketRecord};
 use instameasure_sketch::{
-    AnyFilter, FilterKind, FilterStats, FlowFilter, FlowRegulator, FlowUpdate, SketchConfig,
-    UnknownFilterError,
+    AnyFilter, FilterKind, FilterStats, FlowFilter, FlowUpdate, SketchConfig, UnknownFilterError,
 };
 use instameasure_telemetry::{Instrumented, Snapshot};
 use instameasure_wsaf::{WsafConfig, WsafDeposit, WsafStats, WsafTable};
@@ -214,8 +213,8 @@ impl InstaMeasureConfig {
 
 /// The InstaMeasure measurement pipeline: a pluggable front-end
 /// [`FlowFilter`] in front of an in-DRAM WSAF table (paper Fig. 2a). The
-/// default filter is the paper's [`FlowRegulator`]; alternates are chosen
-/// via [`InstaMeasureConfig::filter`].
+/// default filter is the paper's [`instameasure_sketch::FlowRegulator`];
+/// alternates are chosen via [`InstaMeasureConfig::filter`].
 ///
 /// Packets are fed to [`InstaMeasure::process`]; per-flow queries combine
 /// the WSAF's accumulated counters with the packets still retained inside
@@ -372,13 +371,6 @@ impl InstaMeasure {
         self.filter.stats()
     }
 
-    /// The filter's work counters.
-    #[deprecated(since = "0.6.0", note = "renamed to `filter_stats`")]
-    #[must_use]
-    pub fn regulator_stats(&self) -> FilterStats {
-        self.filter.stats()
-    }
-
     /// The WSAF table's operation counters.
     #[must_use]
     pub fn wsaf_stats(&self) -> WsafStats {
@@ -391,31 +383,11 @@ impl InstaMeasure {
         &self.wsaf
     }
 
-    /// Mutable access to the WSAF.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `drain_expired` for maintenance instead of reaching into the table"
-    )]
-    pub fn wsaf_mut(&mut self) -> &mut WsafTable {
-        &mut self.wsaf
-    }
-
     /// Drains WSAF entries idle past their expiry at time `now` into
     /// export records ([`crate::export::drain_expired`]) — the periodic
     /// maintenance pass, without handing out the whole mutable table.
     pub fn drain_expired(&mut self, now: u64) -> Vec<crate::export::FlowRecord> {
         crate::export::drain_expired(&mut self.wsaf, now)
-    }
-
-    /// The underlying [`FlowRegulator`] when this instance runs the
-    /// regulator kind (regulator-specific diagnostics).
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `filter()` / `filter_stats()`; returns None for non-regulator filter kinds"
-    )]
-    #[must_use]
-    pub fn regulator(&self) -> Option<&FlowRegulator> {
-        self.filter.as_regulator()
     }
 
     /// Timestamp of the most recently processed packet.

@@ -1,12 +1,13 @@
-//! Model checks for the SPSC batch ring ([`instameasure_service::ring`])
+//! Model checks for the SPSC batch ring ([`instameasure_core::ring`])
 //! under `--cfg loom`. The engine's other shared structures (lane
 //! registration and the per-shard control mailbox) are `Mutex`-ordered
-//! queues; `tests/service_lockfree.rs` is their ordering oracle.
+//! queues; the workspace's `tests/service_lockfree.rs` is their ordering
+//! oracle.
 //!
 //! Built and run only as
 //!
 //! ```text
-//! RUSTFLAGS="--cfg loom" cargo test -p instameasure-service --test loom_model --release
+//! RUSTFLAGS="--cfg loom" cargo test -p instameasure-core --test loom_model --release
 //! ```
 //!
 //! which swaps the ring's atomics and cells for `loom`'s modeled
@@ -17,7 +18,7 @@
 //! assertions hold in all of them.
 #![cfg(loom)]
 
-use instameasure_service::ring::{ring, PushError};
+use instameasure_core::ring::{ring, PushError};
 use loom::thread;
 
 /// FIFO transfer: everything pushed is popped exactly once, in order,

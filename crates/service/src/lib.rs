@@ -12,11 +12,11 @@
 //!   a query/control vocabulary (flow lookup, top-K, status, telemetry,
 //!   epoch rotate, shutdown), every malformed input mapped to a
 //!   classified [`wire::WireError`], never a panic.
-//! * [`engine`] — the continuously running measurement core: popcount-
-//!   sharded *thread-per-shard* workers that own their WSAF shard
-//!   outright, fed through lock-free SPSC rings ([`ring`]) with recycled
-//!   batch buffers for allocation-free steady state, online queries
-//!   answered by the owning worker from its live state at a batch
+//! * [`engine`] — the sharded runtime this daemon serves from,
+//!   re-exported from [`instameasure_core::engine`]: popcount-sharded
+//!   *thread-per-shard* workers that own their WSAF shard outright, fed
+//!   through lock-free SPSC rings with recycled batch buffers, online
+//!   queries answered by the owning worker from its live state at a batch
 //!   boundary (ingest never stops), and drain with packet-exact
 //!   accounting.
 //! * [`server`] — the TCP daemon: accept loop, per-connection handlers
@@ -64,43 +64,21 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-// `deny` rather than `forbid`: the SPSC ring (slot cells behind atomics)
-// and the affinity module (one raw sched_setaffinity binding) are the
-// only `#[allow(unsafe_code)]`s.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-// Under `--cfg loom` only the SPSC ring and `affinity` compile — the
-// model checker replaces the ring's atomics/cells with loom's types,
-// which cannot coexist with the std-threaded daemon in the same build.
-// Tier-1 builds never set the cfg and get the whole crate.
-pub mod affinity;
-#[cfg(not(loom))]
 pub mod client;
-#[cfg(not(loom))]
 pub mod detect;
-#[cfg(not(loom))]
-pub mod engine;
-#[cfg(not(loom))]
 #[doc(hidden)]
 pub mod fuzzing;
-pub mod ring;
-#[cfg(not(loom))]
 pub mod server;
-#[cfg(not(loom))]
 pub mod tune;
-#[cfg(not(loom))]
 pub mod wire;
 
-#[cfg(not(loom))]
 pub use client::{ClientError, ServiceClient};
-#[cfg(not(loom))]
 pub use detect::{AlertHub, DetectionConfig, DetectionRuntime, EpochVerdict};
-#[cfg(not(loom))]
-pub use engine::{DrainReport, Engine, EngineConfig, IngestLane};
-#[cfg(not(loom))]
+pub use instameasure_core::engine;
+pub use instameasure_core::engine::{DrainReport, Engine, EngineConfig, IngestLane};
 pub use server::{Server, ServiceConfig, ServiceConfigBuilder, ServiceConfigError};
-#[cfg(not(loom))]
 pub use tune::{TuneRuntime, TuneState};
-#[cfg(not(loom))]
 pub use wire::{PlanReport, Request, Response, StatusReport, TopFlow, WireError};

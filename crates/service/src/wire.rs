@@ -39,6 +39,7 @@
 use std::io::{Read, Write};
 
 use instameasure_core::detect::{Anomaly, AnomalyKind, Subject};
+pub use instameasure_core::engine::TopFlow;
 use instameasure_packet::{FlowKey, PacketRecord};
 
 /// Frame magic: `"IMSW"` — **I**nsta**M**easure **S**ervice **W**ire.
@@ -514,17 +515,6 @@ fn expect_empty(payload: &[u8], req: Request, what: &'static str) -> Result<Requ
     } else {
         Err(WireError::BadPayload { what })
     }
-}
-
-/// One merged heavy-hitter entry in a top-K reply.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TopFlow {
-    /// The flow.
-    pub key: FlowKey,
-    /// Estimated packets.
-    pub packets: f64,
-    /// Estimated bytes.
-    pub bytes: f64,
 }
 
 const TOP_FLOW_BYTES: usize = 13 + 8 + 8;

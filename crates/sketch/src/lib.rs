@@ -78,5 +78,3 @@ pub use rcc::{Rcc, SaturationEvent};
 pub use swing::SwingFilter;
 
 pub use regulator::SingleLayerRcc;
-#[allow(deprecated)]
-pub use regulator::{Regulator, RegulatorStats};

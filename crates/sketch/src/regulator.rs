@@ -1,9 +1,6 @@
-//! The single-layer RCC baseline filter, plus the deprecated `Regulator`
-//! naming this module carried before the front end became pluggable.
-//!
-//! The abstraction itself now lives in [`crate::filter`] as
-//! [`FlowFilter`]; this module keeps [`SingleLayerRcc`] (the paper's
-//! Figs. 1/7/8 baseline) and the compatibility aliases.
+//! The single-layer RCC baseline filter (the paper's Figs. 1/7/8
+//! baseline). The filter abstraction lives in [`crate::filter`] as
+//! [`FlowFilter`].
 
 use instameasure_packet::{FlowDigest, PacketRecord};
 use instameasure_telemetry::{Instrumented, Snapshot};
@@ -11,20 +8,6 @@ use instameasure_telemetry::{Instrumented, Snapshot};
 use crate::config::SketchConfig;
 use crate::filter::{FilterStats, FlowFilter, FlowUpdate};
 use crate::rcc::Rcc;
-
-/// Deprecated name of [`FilterStats`] from before the front end became
-/// pluggable.
-#[deprecated(since = "0.6.0", note = "renamed to `FilterStats`")]
-pub type RegulatorStats = FilterStats;
-
-/// Deprecated name of [`FlowFilter`] from before the front end became
-/// pluggable. Every `FlowFilter` still implements it, so existing
-/// `&mut dyn Regulator` call sites keep compiling.
-#[deprecated(since = "0.6.0", note = "renamed to `FlowFilter`")]
-pub trait Regulator: FlowFilter {}
-
-#[allow(deprecated)]
-impl<T: FlowFilter + ?Sized> Regulator for T {}
 
 /// Single-layer RCC used as the paper's baseline regulator (Figs. 1, 7, 8):
 /// every L1 saturation goes straight to the WSAF.

@@ -4,7 +4,7 @@
 //! handles ([`Counter`], [`Gauge`], [`Histogram`]) and update them without
 //! touching the map again. `Registry<AtomicCell>` (= [`SharedRegistry`]) is
 //! `Sync` and its handles are `Send + Sync`, so one registry can span the
-//! manager and every worker thread; `Registry<LocalCell>`
+//! ingest side and every worker thread; `Registry<LocalCell>`
 //! (= [`LocalRegistry`]) keeps updates to plain loads/stores but its handles
 //! must stay on one thread.
 

@@ -1,7 +1,7 @@
 //! Multi-core gateway monitoring (paper Fig. 5 / §IV-C).
 //!
-//! Replays a campus-like trace through the manager/worker pipeline:
-//! packets are dispatched by popcount(source IP) to workers owning
+//! Replays a campus-like trace through the sharded runtime: packets are
+//! dispatched by popcount(source IP) to workers owning
 //! exclusive FlowRegulators and WSAF shards; results are merged for
 //! queries.
 //!

@@ -342,8 +342,8 @@ fn analyze(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         return Ok(());
     }
 
-    // Optional multi-core mode: replay through the batched manager/worker
-    // pipeline and report the merged shard view.
+    // Optional multi-core mode: replay through the sharded runtime and
+    // report the merged shard view.
     if workers > 0 {
         let batch_size = flag(args, "--batch-size", 256usize);
         let cfg = MultiCoreConfig::builder()
