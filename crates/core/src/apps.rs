@@ -99,20 +99,26 @@ fn rank_by_fan(
             packets: pkts as u64,
         })
         .collect();
-    out.sort_by(|a, b| b.distinct_peers.cmp(&a.distinct_peers).then(b.packets.cmp(&a.packets)));
+    out.sort_by(|a, b| {
+        b.distinct_peers
+            .cmp(&a.distinct_peers)
+            .then(b.packets.cmp(&a.packets))
+            .then(a.host.cmp(&b.host))
+    });
     out.truncate(k);
     out
 }
 
 /// The `k` sources with the largest distinct-destination fan-out —
-/// super-spreader candidates.
+/// super-spreader candidates. Ties go to more packets, then to the lower
+/// address.
 #[must_use]
 pub fn top_fanout_sources(table: &WsafTable, k: usize) -> Vec<FanReport> {
     rank_by_fan(table, k, |e| e.key.src_ip, |e| e.key.dst_ip)
 }
 
 /// The `k` destinations with the largest distinct-source fan-in — DDoS
-/// victim candidates.
+/// victim candidates. Ties go to more packets, then to the lower address.
 #[must_use]
 pub fn top_fanin_destinations(table: &WsafTable, k: usize) -> Vec<FanReport> {
     rank_by_fan(table, k, |e| e.key.dst_ip, |e| e.key.src_ip)
@@ -135,7 +141,8 @@ pub struct PrefixReport {
 
 /// Aggregates the WSAF by source prefix (`prefix_len` in `0..=32`) and
 /// returns the `k` heaviest prefixes by packets — subnet-level accounting,
-/// the operator view most traffic-engineering actions key on.
+/// the operator view most traffic-engineering actions key on. Ties go to
+/// the lower network address.
 ///
 /// # Panics
 ///
@@ -172,7 +179,7 @@ pub fn top_source_prefixes(table: &WsafTable, prefix_len: u8, k: usize) -> Vec<P
             bytes,
         })
         .collect();
-    out.sort_by(|a, b| b.packets.total_cmp(&a.packets));
+    out.sort_by(|a, b| b.packets.total_cmp(&a.packets).then(a.network.cmp(&b.network)));
     out.truncate(k);
     out
 }
@@ -182,6 +189,7 @@ mod tests {
     use super::*;
     use crate::{InstaMeasure, InstaMeasureConfig};
     use instameasure_packet::{FlowKey, PacketRecord, Protocol};
+    use instameasure_wsaf::WsafConfig;
 
     fn system() -> InstaMeasure {
         InstaMeasure::new(InstaMeasureConfig::default().small_for_tests())
@@ -305,6 +313,32 @@ mod tests {
         feed(&mut im, flow([8, 8, 8, 8], [2, 2, 2, 2], 6004), 1_000);
         let hosts = top_source_prefixes(im.wsaf(), 32, 10);
         assert_eq!(hosts[0].network, [8, 8, 8, 8]);
+    }
+
+    #[test]
+    fn rankings_order_ties_by_host_then_network() {
+        // A hub source sends one same-sized flow to each of eight hosts,
+        // and each of eight other sources sends one to a hub destination:
+        // behind each hub, every ranking ties on all its counts.
+        let mut table = WsafTable::new(WsafConfig::builder().entries_log2(8).build().unwrap());
+        for h in (0..8u8).rev() {
+            table.accumulate(&flow([10, h, 0, 1], [20, 0, 0, 1], 7000), 5.0, 500.0, 0);
+            table.accumulate(&flow([30, 0, 0, 1], [40, h, 0, 1], 7001), 5.0, 500.0, 0);
+        }
+        let ranked = |hub: [u8; 4], first: u8, last: u8| {
+            std::iter::once(hub).chain((0..8u8).map(|h| [first, h, 0, last])).collect::<Vec<_>>()
+        };
+        for _ in 0..16 {
+            let sources: Vec<[u8; 4]> =
+                top_fanout_sources(&table, 9).iter().map(|r| r.host).collect();
+            assert_eq!(sources, ranked([30, 0, 0, 1], 10, 1));
+            let victims: Vec<[u8; 4]> =
+                top_fanin_destinations(&table, 9).iter().map(|r| r.host).collect();
+            assert_eq!(victims, ranked([20, 0, 0, 1], 40, 1));
+            let networks: Vec<[u8; 4]> =
+                top_source_prefixes(&table, 16, 9).iter().map(|r| r.network).collect();
+            assert_eq!(networks, ranked([30, 0, 0, 0], 10, 0));
+        }
     }
 
     #[test]

@@ -8,13 +8,15 @@
 //! of that pipeline:
 //!
 //! * [`EpochFeatures`] — a mergeable summary extracted from any number
-//!   of WSAF shards. Merging per-shard summaries is *exactly* the
-//!   summary of the union: per-flow packet counts are keyed by the full
-//!   5-tuple (flows never straddle shards under popcount routing, and
-//!   `+` is the safe merge even if they did), and fan-out/fan-in are
-//!   plain set unions. Every derived quantity (entropy, totals) is
-//!   computed over a sorted order, so the answer is independent of
-//!   shard count, merge order and hash-map iteration order.
+//!   of WSAF shards, held as sorted runs: per-flow packet counts sorted
+//!   by the full 5-tuple, and the distinct `(src, dst)` and `(dst, src)`
+//!   host pairs. Merging per-shard summaries is *exactly* the summary
+//!   of the union: a linear merge sums a key found on both sides (flows
+//!   never straddle shards under popcount routing, and `+` is the safe
+//!   merge even if they did) and keeps each host pair once. Every
+//!   derived quantity (entropy, totals) is computed over a sorted
+//!   order, so the answer is independent of shard count, merge order
+//!   and WSAF slot order.
 //! * [`Detector`] — the verdict contract: given the window
 //!   `(previous epoch, closed epoch)`, return the [`Anomaly`] list.
 //! * Four standard implementations matching the follow-up paper's
@@ -27,7 +29,8 @@
 //! counts and batch sizes, which only holds because every detector
 //! sorts its candidates and every float reduction runs in value order.
 
-use std::collections::{HashMap, HashSet};
+use std::cmp::Ordering;
+use std::sync::OnceLock;
 
 use instameasure_packet::FlowKey;
 use instameasure_wsaf::WsafTable;
@@ -182,65 +185,91 @@ impl Default for DetectorConfig {
 /// set of WSAF entries equals one [`EpochFeatures::absorb`] pass over
 /// the whole set. That is what lets per-shard extraction at rotation
 /// time stand in for a global pass.
+///
+/// The summary is three sorted runs, so absorbing a shard is one gather
+/// and a sort, a merge is a linear walk, and every lookup is a binary
+/// search.
 #[derive(Debug, Clone, Default)]
 pub struct EpochFeatures {
-    flow_packets: HashMap<FlowKey, f64>,
-    fanout: HashMap<[u8; 4], HashSet<[u8; 4]>>,
-    fanin: HashMap<[u8; 4], HashSet<[u8; 4]>>,
+    /// `(key, packets)`, ascending by key, one entry per flow.
+    flows: Vec<(FlowKey, f64)>,
+    /// Distinct `src ‖ dst` host pairs, ascending.
+    fanout: Vec<u64>,
+    /// Distinct `dst ‖ src` host pairs, ascending.
+    fanin: Vec<u64>,
+    /// [`EpochFeatures::normalized_entropy`], computed on first use: a
+    /// closed epoch is evaluated again as the next epoch's baseline.
+    entropy: OnceLock<f64>,
 }
 
 impl EpochFeatures {
     /// Folds every entry of a WSAF shard into the summary.
     pub fn absorb(&mut self, table: &WsafTable) {
-        for e in table.iter() {
-            *self.flow_packets.entry(e.key).or_insert(0.0) += e.packets;
-            self.fanout.entry(e.key.src_ip).or_default().insert(e.key.dst_ip);
-            self.fanin.entry(e.key.dst_ip).or_default().insert(e.key.src_ip);
+        // `0.0 + p` is what a new key's sum holds after its first add.
+        let mut flows: Vec<(FlowKey, f64)> =
+            table.iter().map(|e| (e.key, 0.0 + e.packets)).collect();
+        // A table holds each key once, so an unstable sort loses no order.
+        flows.sort_unstable_by_key(|&(key, _)| key);
+        // Key order is `src ‖ dst` order: the fan-out run needs no sort.
+        let mut fanout: Vec<u64> =
+            flows.iter().map(|(key, _)| host_pair(key.src_ip, key.dst_ip)).collect();
+        fanout.dedup();
+        let mut fanin: Vec<u64> = fanout.iter().map(|pair| pair.rotate_left(32)).collect();
+        fanin.sort_unstable();
+        let part = EpochFeatures { flows, fanout, fanin, entropy: OnceLock::new() };
+        if self.is_empty() {
+            *self = part;
+        } else {
+            self.merge(&part);
         }
     }
 
-    /// Folds another summary in (set unions plus per-key sums).
+    /// Folds another summary in: per-key sums and host-pair unions, each
+    /// one linear merge of sorted runs.
     pub fn merge(&mut self, other: &EpochFeatures) {
-        for (key, pkts) in &other.flow_packets {
-            *self.flow_packets.entry(*key).or_insert(0.0) += pkts;
-        }
-        for (host, peers) in &other.fanout {
-            self.fanout.entry(*host).or_default().extend(peers.iter().copied());
-        }
-        for (host, peers) in &other.fanin {
-            self.fanin.entry(*host).or_default().extend(peers.iter().copied());
-        }
+        // `existing + incoming` for a key on both sides and `0.0 +
+        // incoming` for a new one: the order of adds that keeps merged
+        // and single-pass summaries bit-identical.
+        self.flows = join(&self.flows, &other.flows)
+            .map(|(key, existing, incoming)| {
+                let existing = existing.unwrap_or(0.0);
+                (key, incoming.map_or(existing, |incoming| existing + incoming))
+            })
+            .collect();
+        self.fanout = union(&self.fanout, &other.fanout);
+        self.fanin = union(&self.fanin, &other.fanin);
+        self.entropy = OnceLock::new();
     }
 
     /// Distinct sampled flows in the epoch.
     #[must_use]
     pub fn flows(&self) -> usize {
-        self.flow_packets.len()
+        self.flows.len()
     }
 
     /// True when the epoch saw no sampled flows at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.flow_packets.is_empty()
+        self.flows.is_empty()
     }
 
     /// Per-flow packet counts (rounded to whole packets, zero-flows
-    /// dropped), sorted descending so the result is independent of map
-    /// iteration order. This is the observed-workload shape the epoch
+    /// dropped), sorted descending so the result is independent of the
+    /// merge order. This is the observed-workload shape the epoch
     /// re-tuner feeds back into the config solver.
     #[must_use]
     pub fn flow_sizes(&self) -> Vec<u64> {
         let mut sizes: Vec<u64> =
-            self.flow_packets.values().map(|p| p.round() as u64).filter(|&s| s > 0).collect();
+            self.packets().map(|p| p.round() as u64).filter(|&s| s > 0).collect();
         sizes.sort_unstable_by(|a, b| b.cmp(a));
         sizes
     }
 
     /// Total accumulated packets, summed in sorted value order so the
-    /// result is bit-stable across map iteration orders.
+    /// result is bit-stable across shard counts and merge orders.
     #[must_use]
     pub fn total_packets(&self) -> f64 {
-        sorted_sum(self.flow_packets.values().copied())
+        sorted_sum(self.packets())
     }
 
     /// Normalized flow-size entropy in `[0, 1]` (1.0 for ≤1 flow),
@@ -248,54 +277,114 @@ impl EpochFeatures {
     /// computed order-independently from the summary.
     #[must_use]
     pub fn normalized_entropy(&self) -> f64 {
-        let n = self.flows();
-        if n <= 1 {
-            return 1.0;
-        }
-        let total = self.total_packets();
-        if total <= 0.0 {
-            return 1.0;
-        }
-        // H = -Σ (p/P) log2(p/P) = log2(P) - (Σ p·log2 p) / P
-        let plogp =
-            sorted_sum(self.flow_packets.values().filter(|p| **p > 0.0).map(|p| p * p.log2()));
-        ((total.log2() - plogp / total) / (n as f64).log2()).clamp(0.0, 1.0)
+        *self.entropy.get_or_init(|| {
+            let n = self.flows();
+            if n <= 1 {
+                return 1.0;
+            }
+            let values = sorted(self.packets());
+            let total: f64 = values.iter().sum(); // `total_packets`, from one sort
+            if total <= 0.0 {
+                return 1.0;
+            }
+            // H = -Σ (p/P) log2(p/P) = log2(P) - (Σ p·log2 p) / P. For
+            // p ≥ 1 the terms ascend with p, so the sort in `sorted_sum`
+            // finds them in order when every flow holds a packet or more.
+            let plogp = sorted_sum(values.iter().filter(|p| **p > 0.0).map(|p| p * p.log2()));
+            ((total.log2() - plogp / total) / (n as f64).log2()).clamp(0.0, 1.0)
+        })
     }
 
     /// Distinct destinations this source touched (0 if unseen).
     #[must_use]
     pub fn fanout_of(&self, src: [u8; 4]) -> usize {
-        self.fanout.get(&src).map_or(0, HashSet::len)
+        peers_of(&self.fanout, src)
     }
 
     /// Distinct sources that touched this destination (0 if unseen).
     #[must_use]
     pub fn fanin_of(&self, dst: [u8; 4]) -> usize {
-        self.fanin.get(&dst).map_or(0, HashSet::len)
+        peers_of(&self.fanin, dst)
     }
 
     /// Accumulated packets of one flow (0 if unseen).
     #[must_use]
     pub fn packets_of(&self, key: &FlowKey) -> f64 {
-        self.flow_packets.get(key).copied().unwrap_or(0.0)
+        self.flows.binary_search_by(|(k, _)| k.cmp(key)).map_or(0.0, |i| self.flows[i].1)
     }
 
     /// The heaviest sampled flow (ties broken by key order), if any.
     #[must_use]
     pub fn dominant_flow(&self) -> Option<FlowKey> {
-        self.flow_packets
-            .iter()
-            .max_by(|a, b| a.1.total_cmp(b.1).then_with(|| b.0.cmp(a.0)))
-            .map(|(key, _)| *key)
+        // `max_by` keeps the last of equal maxima: on the reversed run,
+        // the smallest key.
+        self.flows.iter().rev().max_by(|a, b| a.1.total_cmp(&b.1)).map(|&(key, _)| key)
     }
+
+    fn packets(&self) -> impl Iterator<Item = f64> + '_ {
+        self.flows.iter().map(|&(_, p)| p)
+    }
+}
+
+/// `a ‖ b` as one integer, ordered as the pair `(a, b)` is.
+fn host_pair(a: [u8; 4], b: [u8; 4]) -> u64 {
+    u64::from(u32::from_be_bytes(a)) << 32 | u64::from(u32::from_be_bytes(b))
+}
+
+/// Walks two key-sorted flow runs in key order, yielding every key with
+/// its packets on the left and on the right (`None` where absent).
+fn join<'a>(
+    left: &'a [(FlowKey, f64)],
+    right: &'a [(FlowKey, f64)],
+) -> impl Iterator<Item = (FlowKey, Option<f64>, Option<f64>)> + 'a {
+    let (mut left, mut right) = (left.iter().peekable(), right.iter().peekable());
+    std::iter::from_fn(move || {
+        let order = match (left.peek(), right.peek()) {
+            (None, None) => return None,
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some(a), Some(b)) => a.0.cmp(&b.0),
+        };
+        let l = left.next_if(|_| order.is_le());
+        let r = right.next_if(|_| order.is_ge());
+        Some((l.or(r)?.0, l.map(|e| e.1), r.map(|e| e.1)))
+    })
+}
+
+/// The union of two ascending, duplicate-free runs.
+fn union(a: &[u64], b: &[u64]) -> Vec<u64> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
+/// Distinct peers of `host` in a host-pair run: the length of its run.
+fn peers_of(pairs: &[u64], host: [u8; 4]) -> usize {
+    let host = u64::from(u32::from_be_bytes(host));
+    let start = pairs.partition_point(|&pair| pair >> 32 < host);
+    pairs[start..].partition_point(|&pair| pair >> 32 == host)
 }
 
 /// Sums in ascending value order: independent of the caller's iteration
 /// order, so merged and single-pass summaries agree to the last bit.
 fn sorted_sum(values: impl Iterator<Item = f64>) -> f64 {
+    sorted(values).iter().sum()
+}
+
+/// The values in ascending order. Values equal under `total_cmp` are
+/// bit-identical, so the unstable sort yields what a stable one would.
+fn sorted(values: impl Iterator<Item = f64>) -> Vec<f64> {
     let mut v: Vec<f64> = values.collect();
-    v.sort_by(f64::total_cmp);
-    v.iter().sum()
+    v.sort_unstable_by(f64::total_cmp);
+    v
 }
 
 /// The `(previous, closed)` epoch pair a detector evaluates.
@@ -405,15 +494,11 @@ impl Detector for DdosVictimDetector {
 /// Hosts whose peer-set size reaches `threshold`, sorted by (count
 /// desc, host asc) and truncated to `cap` — the deterministic core both
 /// fan detectors share.
-fn rank_fans(
-    fans: &HashMap<[u8; 4], HashSet<[u8; 4]>>,
-    threshold: usize,
-    cap: usize,
-) -> Vec<([u8; 4], usize)> {
-    let mut hits: Vec<([u8; 4], usize)> = fans
-        .iter()
-        .filter(|(_, peers)| peers.len() >= threshold)
-        .map(|(host, peers)| (*host, peers.len()))
+fn rank_fans(pairs: &[u64], threshold: usize, cap: usize) -> Vec<([u8; 4], usize)> {
+    let mut hits: Vec<([u8; 4], usize)> = pairs
+        .chunk_by(|a, b| a >> 32 == b >> 32)
+        .filter(|run| run.len() >= threshold)
+        .map(|run| (((run[0] >> 32) as u32).to_be_bytes(), run.len()))
         .collect();
     hits.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     hits.truncate(cap);
@@ -436,7 +521,8 @@ impl Detector for HeavyChangeDetector {
     fn evaluate(&self, cfg: &DetectorConfig, win: &EpochWindow<'_>) -> Vec<Anomaly> {
         let Some(prev) = win.prev else { return Vec::new() };
         let mut changes: Vec<(FlowKey, f64, f64)> = Vec::new();
-        let mut consider = |key: FlowKey, before: f64, after: f64| {
+        for (key, before, after) in join(&prev.flows, &win.cur.flows) {
+            let (before, after) = (before.unwrap_or(0.0), after.unwrap_or(0.0));
             let delta = after - before;
             // Relative to the *persisting* baseline (the smaller count),
             // so a vanished flow is judged against the floor, not
@@ -444,14 +530,6 @@ impl Detector for HeavyChangeDetector {
             let threshold = cfg.heavy_change_floor.max(cfg.heavy_change_factor * before.min(after));
             if delta.abs() >= threshold {
                 changes.push((key, delta, threshold));
-            }
-        };
-        for (key, &pkts) in &win.cur.flow_packets {
-            consider(*key, prev.packets_of(key), pkts);
-        }
-        for (key, &pkts) in &prev.flow_packets {
-            if !win.cur.flow_packets.contains_key(key) {
-                consider(*key, pkts, 0.0);
             }
         }
         changes.sort_by(|a, b| b.1.abs().total_cmp(&a.1.abs()).then_with(|| a.0.cmp(&b.0)));
