@@ -19,9 +19,14 @@
 //! * [`solver`] — the profile-driven configuration search: given a
 //!   [`TuneRequest`] (an operator-stated `(epsilon, delta)` accuracy
 //!   target or a pps budget) and a workload flow-size sample, it walks
-//!   vector bits × layer count × WSAF capacity with the exact saturation
-//!   chain model and returns the cheapest [`TunePlan`] whose predicted
-//!   regulation fits the *measured* memory at the requested margin.
+//!   vector bits × regulator depth × WSAF capacity with the exact
+//!   saturation chain model and returns the cheapest [`TunePlan`] whose
+//!   predicted regulation fits the *measured* memory at the requested
+//!   margin. It searches only the depths the pipeline runs (1 = `rcc`,
+//!   2 = `regulator`; accuracy targets depth 1 only, where replays
+//!   confirm the error model), so every plan boots the cascade it was
+//!   priced on. A one-point [`MachineProfile`] prices a fixed memory
+//!   technology instead of a calibrated host.
 //!
 //! Set [`TUNE_SMOKE_ENV`] (`INSTAMEASURE_TUNE_SMOKE=1`) to bound the
 //! calibrator to a CI-sized sweep; set [`PROFILE_PATH_ENV`]
@@ -36,7 +41,7 @@ pub mod solver;
 
 pub use calibrate::{calibrate, CalibrationOptions};
 pub use profile::{LatencyPoint, MachineProfile, ProfileError};
-pub use solver::{measured_epsilon, solve, zipf_sizes, TunePlan, TuneRequest, TuneTarget};
+pub use solver::{measured_epsilon, replay, solve, zipf_sizes, TunePlan, TuneRequest, TuneTarget};
 
 /// Environment variable that switches the calibrator to its fast bounded
 /// smoke mode (any value other than `0` enables it).

@@ -1,11 +1,13 @@
 //! The profile-driven configuration search.
 //!
-//! Extends `instameasure_core::planner` from its fixed-latency
-//! `MarginAnalysis` into a machine-profiled solver: given a calibrated
-//! [`MachineProfile`], an operator target (an `(epsilon, delta)` accuracy
-//! statement or a raw pps budget) and a sample of the workload's flow
-//! sizes, [`solve`] searches vector bits × layer count × WSAF capacity and
-//! returns the cheapest [`TunePlan`] that fits.
+//! Given a [`MachineProfile`] (calibrated on this host, the paper fixture,
+//! or a one-point profile at a memory technology's latency), an operator
+//! target (an `(epsilon, delta)` accuracy statement or a raw pps budget)
+//! and a sample of the workload's flow sizes, [`solve`] searches vector
+//! bits × regulator depth × WSAF capacity and returns the cheapest
+//! [`TunePlan`] that fits. The depths searched are the ones the pipeline
+//! runs ([`REGULATOR_KINDS`]: 1 = `rcc`, 2 = `regulator`), so every plan
+//! boots exactly the cascade it was priced on.
 //!
 //! # The models
 //!
@@ -14,19 +16,20 @@
 //! lookup table with a linear steady-state extension so 400k-flow
 //! workloads solve in milliseconds rather than re-running the `O(s·b)` DP
 //! per candidate. Feasibility margins use the measured latency at the
-//! WSAF's *resident size* (table + the regulator layers co-resident with
-//! it), and the probe chain accesses of the configured layer count — the
-//! same honest accounting `planner::plan_regulator` switched to.
+//! WSAF's *resident size* (table + the L2 layers co-resident with it),
+//! and the probe chain accesses of the configured depth: every L1
+//! saturation of a depth-2 plan costs a slow access to L2.
 //!
-//! **Accuracy** — a conservative first-order error model, validated
-//! end-to-end in the test suite: every release quantizes a flow's count
-//! at the saturation-period granularity with up to `noise_max` packets of
-//! interference, so the expected relative estimate error scales as
-//! `0.5·√layers / period(b)`. Wider vectors lengthen the period (lower
-//! error); each extra layer compounds the quantization. The `delta` half
-//! of the target tightens the effective epsilon by a `ln(1/δ)` headroom
-//! factor (Chernoff-style), so rarer allowed violations demand larger
-//! configurations.
+//! **Accuracy** — a first-order error model: every release quantizes a
+//! flow's count at the saturation-period granularity with up to
+//! `noise_max` packets of interference, so the expected relative estimate
+//! error scales as `0.5·√layers / period(b)`. Wider vectors lengthen the
+//! period (lower error). The `delta` half of the target tightens the
+//! effective epsilon by a `ln(1/δ)` headroom factor (Chernoff-style), so
+//! rarer allowed violations demand larger configurations. Replays confirm
+//! the model at depth 1 only, so accuracy targets are solved at depth 1
+//! ([`TunePlan::predicted_epsilon`] quotes the depth-2 misses); throughput
+//! targets search both depths.
 //!
 //! **WSAF capacity** — sized from the workload's flow count at a load
 //! factor that *shrinks with epsilon* (`min(0.7, 7ε)`), independent of
@@ -37,7 +40,8 @@
 
 use instameasure_core::{InstaMeasure, InstaMeasureConfig, InstaMeasureConfigError};
 use instameasure_memmodel::{MarginAnalysis, MemoryTechnology};
-use instameasure_sketch::{FilterKind, SketchConfig};
+use instameasure_packet::{FlowKey, PacketRecord, Protocol};
+use instameasure_sketch::{FilterKind, SketchConfig, REGULATOR_KINDS};
 
 use crate::profile::{MachineProfile, ProfileError};
 
@@ -104,7 +108,8 @@ pub struct TunePlan {
     pub l1_memory_bytes: u64,
     /// Per-layer virtual-vector size in bits.
     pub vector_bits: u32,
-    /// Regulator depth (1 = plain RCC, 2 = the paper's FlowRegulator).
+    /// Regulator depth (1 = plain RCC, 2 = the paper's FlowRegulator; see
+    /// [`REGULATOR_KINDS`]).
     pub layers: u32,
     /// log₂ of the WSAF slot count.
     pub wsaf_entries_log2: u32,
@@ -114,7 +119,15 @@ pub struct TunePlan {
     pub probes_per_insert: f64,
     /// Capacity/demand margin at the measured latency.
     pub margin: f64,
-    /// Predicted relative estimate error of the accuracy model.
+    /// Predicted relative estimate error of the accuracy model,
+    /// `0.5·√layers / period(b)`.
+    ///
+    /// Replays check this model at depth 1 only, which is why accuracy
+    /// targets are solved at depth 1: every depth-1 plan probed delivered
+    /// ≤ 0.028 on six workloads. At depth 2 it is far too
+    /// optimistic: the b = 32 plans it predicted at 0.0231 delivered
+    /// 0.085–0.19 (0.127 on `zipf_sizes(20_000, 100_000)`). A depth-2
+    /// (throughput) plan's value is a floor, not a promise.
     pub predicted_epsilon: f64,
     /// The measured random-access latency (ns) the margin ran on — the
     /// profile curve at the plan's resident working-set size.
@@ -125,16 +138,19 @@ pub struct TunePlan {
 const PLAN_HEADER: &str = "instameasure-tune-plan v1";
 
 impl TunePlan {
-    /// The front-end filter this plan runs: plain RCC for a single layer,
-    /// the paper's two-layer FlowRegulator otherwise (deeper cascades are
-    /// a planning-model concept; the runtime pipeline caps at two).
+    /// The front-end filter this plan runs: the kind that runs its depth
+    /// ([`FilterKind::for_regulator_depth`]) — plain RCC for one layer,
+    /// the paper's FlowRegulator for two.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layers` is a depth no kind runs. [`solve`] and
+    /// [`TunePlan::from_text`] never produce one; only a plan built by
+    /// hand can.
     #[must_use]
     pub fn filter_kind(&self) -> FilterKind {
-        if self.layers == 1 {
-            FilterKind::Rcc
-        } else {
-            FilterKind::Regulator
-        }
+        FilterKind::for_regulator_depth(self.layers)
+            .unwrap_or_else(|| panic!("no filter kind runs a {}-layer regulator", self.layers))
     }
 
     /// Total modeled memory of the plan in paper terms: the filter at its
@@ -150,13 +166,19 @@ impl TunePlan {
         self.l1_memory_bytes * (1 + noise_classes) + (1u64 << self.wsaf_entries_log2) * 33
     }
 
-    /// Materializes the plan as a runnable pipeline configuration.
+    /// Materializes the plan as a runnable pipeline configuration, with
+    /// the [`TunePlan::filter_kind`] that runs the plan's depth.
     ///
     /// # Errors
     ///
     /// Returns the underlying config validation error if the plan's
     /// values are out of range (only possible for hand-edited plan
     /// files).
+    ///
+    /// # Panics
+    ///
+    /// As [`TunePlan::filter_kind`], for a hand-built plan whose depth
+    /// no kind runs.
     pub fn to_config(&self, seed: u64) -> Result<InstaMeasureConfig, InstaMeasureConfigError> {
         Ok(InstaMeasureConfig::builder()
             .l1_memory_bytes(self.l1_memory_bytes as usize)
@@ -200,7 +222,9 @@ impl TunePlan {
     ///
     /// # Errors
     ///
-    /// Returns [`ProfileError::Parse`] on a bad header or malformed line.
+    /// Returns [`ProfileError::Parse`] on a bad header or malformed line,
+    /// including a `layers` line naming a depth the pipeline does not run
+    /// (anything outside `1..=2`).
     pub fn from_text(text: &str) -> Result<Self, ProfileError> {
         let mut lines = text.lines();
         match lines.next() {
@@ -240,7 +264,17 @@ impl TunePlan {
             match key {
                 "l1_memory_bytes" => plan.l1_memory_bytes = parse!(),
                 "vector_bits" => plan.vector_bits = parse!(),
-                "layers" => plan.layers = parse!(),
+                "layers" => {
+                    plan.layers = parse!();
+                    if FilterKind::for_regulator_depth(plan.layers).is_none() {
+                        return Err(ProfileError::Parse(format!(
+                            "plan line {}: no filter runs {} layers (expected 1..={}): {line:?}",
+                            idx + 2,
+                            plan.layers,
+                            REGULATOR_KINDS.len()
+                        )));
+                    }
+                }
                 "wsaf_entries_log2" => plan.wsaf_entries_log2 = parse!(),
                 "predicted_regulation" => plan.predicted_regulation = parse!(),
                 "probes_per_insert" => plan.probes_per_insert = parse!(),
@@ -452,12 +486,21 @@ fn effective_epsilon(epsilon: f64, delta: f64) -> f64 {
     epsilon / (1.0 + (1.0 / delta).ln() / 10.0)
 }
 
+/// The deepest regulator an accuracy target is solved at: the depth whose
+/// error model replays confirm (see [`TunePlan::predicted_epsilon`]).
+const ACCURACY_MAX_DEPTH: u32 = 1;
+
 /// Searches for the cheapest configuration meeting the request on the
 /// measured machine, `None` when nothing in the space fits (or the
-/// request itself is malformed). Candidates are ordered fewest-layers
-///-then-smallest-vectors; the first feasible one wins, which (with the
-/// separable WSAF rule) gives the monotonicity guarantees the property
-/// tests pin.
+/// request itself is malformed). Candidates are ordered
+/// shallowest-then-smallest-vectors over the depths the pipeline runs
+/// (accuracy targets: depth 1 only); the first feasible one wins, which
+/// (with the separable WSAF rule) gives the monotonicity guarantees the
+/// property tests pin.
+///
+/// A one-point profile prices the WSAF at one memory technology's
+/// latency, which is how `examples/deployment_planner.rs` plans for DRAM,
+/// SRAM and TCAM alike.
 #[must_use]
 pub fn solve(
     profile: &MachineProfile,
@@ -473,12 +516,14 @@ pub fn solve(
     let wsaf_log2 = wsaf_log2_for(flows, &req.target)?;
     let wsaf_bytes = (1u64 << wsaf_log2) * 33;
 
-    let eps_budget = match req.target {
-        TuneTarget::Accuracy { epsilon, delta } => Some(effective_epsilon(epsilon, delta)),
-        TuneTarget::Throughput => None,
+    let (eps_budget, max_depth) = match req.target {
+        TuneTarget::Accuracy { epsilon, delta } => {
+            (Some(effective_epsilon(epsilon, delta)), ACCURACY_MAX_DEPTH)
+        }
+        TuneTarget::Throughput => (None, REGULATOR_KINDS.len() as u32),
     };
 
-    for layers in 1..=4u32 {
+    for layers in 1..=max_depth {
         for vector_bits in [4u32, 8, 16, 32] {
             let l1_memory_bytes = l1_bytes_for(flows, vector_bits);
             let cfg = SketchConfig::builder()
@@ -506,8 +551,8 @@ pub fn solve(
             };
             let rate = rate_at(layers);
             let l1_rate = if layers == 1 { rate } else { rate_at(1) };
-            // Mirror the planner: a deep cascade that truncates real
-            // traffic to zero insertions is a model artifact, not a plan.
+            // A cascade that truncates real traffic to zero insertions
+            // is a model artifact, not a plan.
             if rate <= 0.0 && l1_rate > 0.0 {
                 continue;
             }
@@ -518,8 +563,8 @@ pub fn solve(
                 2.0
             };
 
-            // The slow-memory working set: the WSAF plus the regulator
-            // layers co-resident with it (everything beyond layer 1).
+            // The slow-memory working set: the WSAF plus the L2 layers
+            // co-resident with it (everything beyond layer 1).
             let noise_classes = cfg.noise_classes() as u64;
             let deep_bytes = l1_memory_bytes * noise_classes * u64::from(layers - 1);
             let access_nanos = profile.latency_ns(wsaf_bytes + deep_bytes);
@@ -546,24 +591,14 @@ pub fn solve(
     None
 }
 
-/// Measures a plan's delivered relative error on a labeled workload: runs
-/// the plan's pipeline over synthetic packets of the given flow sizes and
-/// returns the packet-weighted mean relative error over flows of at least
-/// `min_size` packets (the flows an epsilon target is about — sub-period
-/// mice are measured exactly by the residual).
-///
-/// This is the oracle the e2e tests and the tune bench compare
-/// [`TunePlan::predicted_epsilon`] against.
+/// Replays synthetic packets of the given flow sizes through the plan's
+/// pipeline, flows interleaved round-robin so concurrent sketch occupancy
+/// is realistic rather than one-flow-at-a-time best case. Returns the
+/// pipeline and the flows' keys in `sizes` order, or `None` when the plan
+/// does not materialize.
 #[must_use]
-pub fn measured_epsilon(plan: &TunePlan, sizes: &[u64], min_size: u64, seed: u64) -> f64 {
-    use instameasure_packet::{FlowKey, PacketRecord, Protocol};
-    let cfg = match plan.to_config(seed) {
-        Ok(c) => c,
-        Err(_) => return f64::INFINITY,
-    };
-    let mut im = InstaMeasure::new(cfg);
-    // Interleave flows round-robin so concurrent sketch occupancy is
-    // realistic rather than one-flow-at-a-time best case.
+pub fn replay(plan: &TunePlan, sizes: &[u64], seed: u64) -> Option<(InstaMeasure, Vec<FlowKey>)> {
+    let mut im = InstaMeasure::new(plan.to_config(seed).ok()?);
     let keys: Vec<FlowKey> = (0..sizes.len() as u32)
         .map(|i| {
             FlowKey::new(
@@ -590,6 +625,22 @@ pub fn measured_epsilon(plan: &TunePlan, sizes: &[u64], min_size: u64, seed: u64
             ts += 20;
         }
     }
+    Some((im, keys))
+}
+
+/// Measures a plan's delivered relative error on a labeled workload: the
+/// [`replay`] of the given flow sizes, scored as the packet-weighted mean
+/// relative error over flows of at least `min_size` packets (the flows an
+/// epsilon target is about — sub-period mice are measured exactly by the
+/// residual).
+///
+/// This is the oracle the e2e tests and the tune bench compare
+/// [`TunePlan::predicted_epsilon`] against.
+#[must_use]
+pub fn measured_epsilon(plan: &TunePlan, sizes: &[u64], min_size: u64, seed: u64) -> f64 {
+    let Some((im, keys)) = replay(plan, sizes, seed) else {
+        return f64::INFINITY;
+    };
     let mut err_weighted = 0.0;
     let mut weight = 0.0;
     for (i, &truth) in sizes.iter().enumerate() {
@@ -611,6 +662,7 @@ pub fn measured_epsilon(plan: &TunePlan, sizes: &[u64], min_size: u64, seed: u64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LatencyPoint;
     use instameasure_sketch::analysis;
 
     fn paper() -> MachineProfile {
@@ -619,6 +671,26 @@ mod tests {
 
     fn workload() -> Vec<u64> {
         zipf_sizes(20_000, 100_000)
+    }
+
+    /// A one-point profile: every working set costs `nanos`.
+    fn flat(nanos: f64) -> MachineProfile {
+        MachineProfile::from_parts(vec![LatencyPoint { bytes: 1, nanos }], 3.5, 0.5, 0, false)
+            .unwrap()
+    }
+
+    /// A WSAF in one memory technology at its paper latency.
+    fn technology(tech: MemoryTechnology) -> MachineProfile {
+        flat(tech.access_nanos())
+    }
+
+    /// A Zipf-ish elephant-heavy workload sample.
+    fn heavy_sizes() -> Vec<u64> {
+        zipf_sizes(5_000, 200_000)
+    }
+
+    fn geometry(plan: &TunePlan) -> (u32, u32) {
+        (plan.layers, plan.vector_bits)
     }
 
     #[test]
@@ -700,8 +772,83 @@ mod tests {
         // legitimately solve single-layer even at 100 GbE.)
         let elephants = vec![10_000u64; 50_000];
         let stress = solve(&paper(), &TuneRequest::throughput(600e6, 2.0), &elephants).unwrap();
-        assert!(stress.layers >= 2, "{stress}");
+        assert_eq!(stress.layers, 2, "{stress}");
+        assert_eq!(stress.filter_kind(), FilterKind::Regulator);
         assert!(stress.predicted_regulation < calm.predicted_regulation);
+    }
+
+    #[test]
+    fn plans_stay_within_the_depths_the_pipeline_runs() {
+        let elephants = vec![10_000u64; 50_000];
+        for pps in [1e6, 1e8, 6e8, 1e9, 2e9, 4e9] {
+            for profile in [paper(), flat(80.0), flat(2.0)] {
+                let Some(plan) = solve(&profile, &TuneRequest::throughput(pps, 2.0), &elephants)
+                else {
+                    continue;
+                };
+                assert!((1..=2).contains(&plan.layers), "{plan}");
+                let cfg = plan.to_config(1).unwrap();
+                assert_eq!(cfg.filter.regulator_depth(), Some(plan.layers), "{plan}");
+            }
+            let acc = solve(&paper(), &TuneRequest::accuracy(pps, 0.1, 0.05), &workload());
+            assert!(acc.is_none_or(|p| p.layers == 1), "{acc:?}");
+        }
+    }
+
+    #[test]
+    fn line_rate_dram_needs_the_two_layer_design() {
+        // 100 GbE worst case (~148.8 Mpps): no single-layer vector in the
+        // search space suffices in DRAM; the paper's two-layer design with
+        // the widest vectors does. The layer-2 feed rate is itself a DRAM
+        // cost, so the margin is a hard-won 2x.
+        let dram = technology(MemoryTechnology::Dram);
+        let req = TuneRequest::throughput(148.8e6, 2.0);
+        let plan = solve(&dram, &req, &heavy_sizes()).unwrap();
+        assert_eq!(plan.layers, 2, "{plan}");
+        assert!(plan.vector_bits >= 16, "{plan}");
+        assert!(plan.predicted_regulation < 0.01, "{plan}");
+    }
+
+    #[test]
+    fn line_rate_dram_cannot_promise_deep_margins_but_tcam_can() {
+        // Every L2 layer lives in the same memory as the WSAF, so depth
+        // cannot buy a 5x DRAM margin at 148.8 Mpps...
+        let req = TuneRequest::throughput(148.8e6, 5.0);
+        let dram = solve(&technology(MemoryTechnology::Dram), &req, &heavy_sizes());
+        assert!(dram.is_none(), "{dram:?}");
+        // ...while a TCAM WSAF reaches it at depth 1.
+        let tcam = solve(&technology(MemoryTechnology::Tcam), &req, &heavy_sizes()).unwrap();
+        assert_eq!(tcam.layers, 1, "{tcam}");
+    }
+
+    #[test]
+    fn faster_memory_never_yields_a_deeper_plan() {
+        let sizes = heavy_sizes();
+        for pps in [1.488e6, 14.88e6, 59.5e6, 148.8e6] {
+            let req = TuneRequest::throughput(pps, 2.0);
+            let plans = [MemoryTechnology::Dram, MemoryTechnology::Sram, MemoryTechnology::Tcam]
+                .map(|tech| solve(&technology(tech), &req, &sizes));
+            for pair in plans.windows(2) {
+                let (Some(slower), Some(faster)) = (&pair[0], &pair[1]) else {
+                    assert!(pair[0].is_none(), "{pps}: slower memory solved, faster did not");
+                    continue;
+                };
+                assert!(geometry(faster) <= geometry(slower), "{pps}: {faster} vs {slower}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_slower_measured_latency_never_yields_a_cheaper_plan() {
+        let sizes = heavy_sizes();
+        let req = TuneRequest::throughput(59.5e6, 2.0);
+        let paper_dram = solve(&technology(MemoryTechnology::Dram), &req, &sizes).unwrap();
+        // A host whose DRAM measures twice the paper constant.
+        let slow = solve(&flat(160.0), &req, &sizes).unwrap();
+        assert!(geometry(&slow) >= geometry(&paper_dram), "slow {slow} vs paper {paper_dram}");
+        // A measured 80 ns is the paper constant.
+        let same = solve(&flat(80.0), &req, &sizes).unwrap();
+        assert_eq!(geometry(&same), geometry(&paper_dram));
     }
 
     #[test]
@@ -714,6 +861,10 @@ mod tests {
         // Malformed requests never panic.
         assert!(solve(&paper(), &TuneRequest::accuracy(1.0e6, 0.0, 0.05), &sizes).is_none());
         assert!(solve(&paper(), &TuneRequest::accuracy(f64::NAN, 0.1, 0.05), &sizes).is_none());
+        // No depth promises a 10^6x margin on elephant-only traffic.
+        let elephants = vec![1_000_000u64; 10];
+        let dram = technology(MemoryTechnology::Dram);
+        assert!(solve(&dram, &TuneRequest::throughput(1e9, 1e6), &elephants).is_none());
     }
 
     #[test]
@@ -725,7 +876,7 @@ mod tests {
         let slow_points = paper()
             .points()
             .iter()
-            .map(|p| crate::LatencyPoint { bytes: p.bytes, nanos: p.nanos * 3.0 })
+            .map(|p| LatencyPoint { bytes: p.bytes, nanos: p.nanos * 3.0 })
             .collect();
         let slow = MachineProfile::from_parts(slow_points, 3.5, 0.5, 0, false).unwrap();
         let slow_host = solve(&slow, &req, &sizes).unwrap();
@@ -756,6 +907,24 @@ mod tests {
         assert!(back.same_geometry(&plan));
         assert!(TunePlan::from_text("nope").is_err());
         assert!(TunePlan::from_text(PLAN_HEADER).is_err(), "geometry fields required");
+
+        // A file naming a depth the pipeline does not run is refused on
+        // its `layers` line, never booted as some other depth.
+        for layers in [1u32, 2] {
+            let text = TunePlan { layers, ..plan }.to_text();
+            assert_eq!(TunePlan::from_text(&text).unwrap().layers, layers);
+        }
+        for layers in ["3", "0"] {
+            let text = plan.to_text().replace("\nlayers 1\n", &format!("\nlayers {layers}\n"));
+            assert!(text.contains(&format!("layers {layers}")), "{text}");
+            match TunePlan::from_text(&text) {
+                Err(ProfileError::Parse(msg)) => {
+                    assert!(msg.contains("plan line 5"), "{msg}");
+                    assert!(msg.contains(&format!("layers {layers}")), "{msg}");
+                }
+                other => panic!("layers {layers} parsed: {other:?}"),
+            }
+        }
     }
 
     #[test]

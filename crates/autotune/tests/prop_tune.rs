@@ -39,7 +39,7 @@ fn assert_plan_well_formed(plan: &TunePlan, req: &TuneRequest) {
         "vector width {} outside the supported set",
         plan.vector_bits
     );
-    assert!((1..=4).contains(&plan.layers), "layer count {}", plan.layers);
+    assert!((1..=2).contains(&plan.layers), "layer count {}", plan.layers);
     assert!(
         plan.l1_memory_bytes.is_power_of_two()
             && (32 * 1024..=1024 * 1024).contains(&plan.l1_memory_bytes),

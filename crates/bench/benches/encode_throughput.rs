@@ -2,7 +2,7 @@
 //! the substrate of paper Fig. 9(a)'s Mpps numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use instameasure_sketch::{FlowFilter, FlowRegulator, SingleLayerRcc, SketchConfig};
+use instameasure_sketch::{FlowFilter, FlowRegulator, SketchConfig};
 use instameasure_traffic::presets::caida_like;
 
 fn encode_throughput(c: &mut Criterion) {
@@ -29,7 +29,7 @@ fn encode_throughput(c: &mut Criterion) {
 
     group.bench_function(BenchmarkId::new("single_layer_rcc", records.len()), |b| {
         b.iter(|| {
-            let mut rcc = SingleLayerRcc::new(cfg);
+            let mut rcc = FlowRegulator::single_layer(cfg);
             let mut updates = 0u64;
             for r in records {
                 if rcc.process(r).is_some() {

@@ -3,7 +3,8 @@
 //! Not a paper figure — these quantify *why* the paper's design decisions
 //! matter by toggling each one:
 //!
-//! A. number of layers (1 = RCC … 4; the paper's TCAM-margin extension)
+//! A. number of layers (1 = RCC, 2 = the paper's design; the two depths
+//!    the pipeline runs)
 //! B. per-noise-class L2 counters vs one shared L2
 //! C. hash reuse across layers vs independent L2 hashing
 //! D. WSAF probe limit
@@ -12,9 +13,7 @@
 use std::collections::HashMap;
 
 use instameasure_packet::FlowKey;
-use instameasure_sketch::{
-    FlowFilter, FlowRegulator, FlowRegulatorOptions, MultiLayerRegulator, SketchConfig,
-};
+use instameasure_sketch::{decode, FlowFilter, FlowRegulator, FlowRegulatorOptions, SketchConfig};
 use instameasure_traffic::presets::caida_like;
 use instameasure_traffic::Trace;
 use instameasure_wsaf::{EvictionPolicy, WsafConfig, WsafTable};
@@ -45,13 +44,16 @@ fn sketch_cfg(seed: u64) -> SketchConfig {
 fn study_layers(trace: &Trace, min_size: u64, seed: u64) {
     println!("# A. layer count (8 KB/layer): regulation rate vs accuracy");
     println!("layers\tregulation\tretention_model\telephant_err\tmemory_kb");
-    for layers in 1..=4u32 {
-        let mut reg = MultiLayerRegulator::new(sketch_cfg(seed), layers);
+    let cfg = sketch_cfg(seed);
+    // Packets one release stands for: one saturation period per layer.
+    let period = decode::saturation_period(cfg.vector_bits(), cfg.noise_max());
+    for mut reg in [FlowRegulator::single_layer(cfg), FlowRegulator::new(cfg)] {
         let err = elephant_error(&mut reg, trace, min_size);
         println!(
-            "{layers}\t{:.5}\t{:.0}\t{:.4}\t{}",
+            "{}\t{:.5}\t{:.0}\t{:.4}\t{}",
+            reg.depth(),
             reg.stats().regulation_rate(),
-            reg.model_retention(),
+            period.powi(reg.depth() as i32),
             err,
             reg.memory_bytes() / 1024
         );

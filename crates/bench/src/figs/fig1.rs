@@ -1,7 +1,7 @@
 //! Fig. 1 — RCC's saturation (WSAF insertion) rate is 12–19% of the packet
 //! arrival rate, too high for an in-DRAM WSAF.
 
-use instameasure_sketch::{FlowFilter, SingleLayerRcc, SketchConfig};
+use instameasure_sketch::{FlowFilter, FlowRegulator, SketchConfig};
 use instameasure_traffic::presets::caida_like;
 
 use crate::{fmt_count, print_checks, BenchArgs, Instrumented, PaperCheck, Snapshot};
@@ -20,10 +20,10 @@ pub fn run(args: &BenchArgs) -> Snapshot {
     );
 
     let mem = 128 * 1024;
-    let mut rcc8 = SingleLayerRcc::new(
+    let mut rcc8 = FlowRegulator::single_layer(
         SketchConfig::builder().memory_bytes(mem).vector_bits(8).seed(args.seed).build().unwrap(),
     );
-    let mut rcc16 = SingleLayerRcc::new(
+    let mut rcc16 = FlowRegulator::single_layer(
         SketchConfig::builder().memory_bytes(mem).vector_bits(16).seed(args.seed).build().unwrap(),
     );
 

@@ -3,7 +3,7 @@
 
 use instameasure_autotune::MachineProfile;
 use instameasure_memmodel::{MarginAnalysis, MemoryTechnology};
-use instameasure_sketch::{FlowFilter, FlowRegulator, SingleLayerRcc, SketchConfig};
+use instameasure_sketch::{FlowFilter, FlowRegulator, SketchConfig};
 use instameasure_traffic::presets::caida_like;
 
 use crate::{fmt_count, print_checks, BenchArgs, Instrumented, PaperCheck, Snapshot};
@@ -33,7 +33,7 @@ pub fn run(args: &BenchArgs) -> Snapshot {
         .build()
         .unwrap();
     let mut fr = FlowRegulator::new(fr_cfg);
-    let mut rcc = SingleLayerRcc::new(rcc_cfg);
+    let mut rcc = FlowRegulator::single_layer(rcc_cfg);
 
     let bin = 1_000_000_000u64;
     println!("bin_s\tpps\trcc_ips\tfr_ips\trcc_rate\tfr_rate");

@@ -2,7 +2,7 @@
 //! cost (c) of FlowRegulator vs RCC across virtual-vector sizes.
 
 use instameasure_packet::{FlowKey, PacketRecord, Protocol};
-use instameasure_sketch::{decode, FlowFilter, FlowRegulator, SingleLayerRcc, SketchConfig};
+use instameasure_sketch::{decode, FlowFilter, FlowRegulator, SketchConfig};
 use instameasure_traffic::presets::caida_like;
 
 use crate::{print_checks, BenchArgs, PaperCheck, Snapshot};
@@ -75,12 +75,12 @@ pub fn run(args: &BenchArgs) -> Snapshot {
             .build()
             .unwrap();
 
-        let mut rcc = SingleLayerRcc::new(rcc_cfg);
+        let mut rcc = FlowRegulator::single_layer(rcc_cfg);
         let (rcc_ret, rcc_freq) = simulate_single_flow(&mut rcc, packets);
         let mut fr = FlowRegulator::new(fr_cfg);
         let (fr_ret, fr_freq) = simulate_single_flow(&mut fr, packets);
 
-        let mut rcc_acc = SingleLayerRcc::new(rcc_cfg);
+        let mut rcc_acc = FlowRegulator::single_layer(rcc_cfg);
         let rcc_err = accuracy_on_trace(&mut rcc_acc, args);
         let mut fr_acc = FlowRegulator::new(fr_cfg);
         let fr_err = accuracy_on_trace(&mut fr_acc, args);

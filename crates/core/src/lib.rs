@@ -31,9 +31,10 @@
 //!   reports (the paper's 10-minute update mode).
 //! * [`collector`] — the conventional delegation architecture (sketch
 //!   shipped to a remote collector each epoch), priced in latency and bytes.
-//! * [`planner`] — picks (vector size, layer count) for a link's rate and
-//!   WSAF memory technology using the exact chain model (§V-B's margin
-//!   remark, operationalized).
+//!
+//! Picking a (vector size, layer count) for a link's rate and memory is
+//! the auto-tuner's job (`instameasure_autotune::solve`), which plans
+//! only the regulator depths this pipeline runs.
 //!
 //! # Example
 //!
@@ -67,7 +68,6 @@ pub mod ingest;
 pub mod latency;
 pub mod metrics;
 pub mod multicore;
-pub mod planner;
 pub mod ring;
 mod system;
 pub mod windowed;

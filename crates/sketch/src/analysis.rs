@@ -193,7 +193,7 @@ pub const WSAF_ACCESSES_PER_INSERT: f64 = 2.0;
 /// collapses to exactly [`WSAF_ACCESSES_PER_INSERT`] — the old constant
 /// was only ever right for plain RCC. Deeper cascades grow *more*
 /// expensive per insertion (the layer-2 feed rate dominates), which is why
-/// the planner cannot buy margin with depth alone when the intermediate
+/// the tuner cannot buy margin with depth alone when the intermediate
 /// layers share the WSAF's memory.
 ///
 /// Returns [`WSAF_ACCESSES_PER_INSERT`] when the workload produces no
@@ -218,7 +218,7 @@ mod tests {
     use super::*;
     use crate::decode;
     use crate::filter::FlowFilter;
-    use crate::{FlowRegulator, SingleLayerRcc};
+    use crate::FlowRegulator;
     use instameasure_packet::{FlowKey, PacketRecord, Protocol};
 
     fn cfg() -> SketchConfig {
@@ -256,7 +256,7 @@ mod tests {
     fn chain_matches_simulated_rcc_for_single_flow() {
         let key = FlowKey::new([1, 2, 3, 4], [4, 3, 2, 1], 9, 9, Protocol::Udp);
         for s in [10u64, 100, 10_000] {
-            let mut reg = SingleLayerRcc::new(cfg());
+            let mut reg = FlowRegulator::single_layer(cfg());
             for t in 0..s {
                 reg.process(&PacketRecord::new(key, 100, t));
             }

@@ -29,7 +29,6 @@ use instameasure_telemetry::{Instrumented, Snapshot};
 use crate::config::SketchConfig;
 use crate::flow_regulator::FlowRegulator;
 use crate::hashflow::HashFlowFilter;
-use crate::regulator::SingleLayerRcc;
 use crate::swing::SwingFilter;
 
 /// An accumulated count released by a front-end filter toward the WSAF
@@ -164,7 +163,8 @@ pub enum FilterKind {
     #[default]
     Regulator,
     /// A single flat [`Rcc`](crate::Rcc) spending the whole budget on one
-    /// layer ([`SingleLayerRcc`]) — the paper's Fig. 1/7 baseline.
+    /// layer (a depth-1 [`FlowRegulator`]) — the paper's Fig. 1/7
+    /// baseline.
     Rcc,
     /// [`SwingFilter`]: an exact fingerprint stage in front of a keyed
     /// store, split 1/3 filter – 2/3 store.
@@ -178,6 +178,14 @@ pub enum FilterKind {
 /// help, and the shootout bench iterate this).
 pub const ALL_FILTER_KINDS: [FilterKind; 4] =
     [FilterKind::Regulator, FilterKind::Rcc, FilterKind::Swing, FilterKind::HashFlow];
+
+/// The [`FlowRegulator`] depths the pipeline runs and the kind that runs
+/// each: entry `d - 1` runs a `d`-layer cascade. Depth 1 is L1 alone over
+/// the whole budget (`rcc`); depth 2 is the paper's design (`regulator`).
+/// This is the one place depth meets kind: [`FilterKind::regulator_depth`]
+/// and [`FilterKind::for_regulator_depth`] read it, and through them the
+/// tuner's search bound, its plan → kind mapping and its plan-file check.
+pub const REGULATOR_KINDS: [FilterKind; 2] = [FilterKind::Rcc, FilterKind::Regulator];
 
 /// A filter name that [`FilterKind::from_str`] did not recognize.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -218,6 +226,20 @@ impl FilterKind {
         }
     }
 
+    /// The [`FlowRegulator`] depth this kind runs (see
+    /// [`REGULATOR_KINDS`]), `None` for the table filters.
+    #[must_use]
+    pub fn regulator_depth(self) -> Option<u32> {
+        REGULATOR_KINDS.iter().position(|&k| k == self).map(|i| i as u32 + 1)
+    }
+
+    /// The kind that runs a `depth`-layer [`FlowRegulator`], `None` for a
+    /// depth no kind runs.
+    #[must_use]
+    pub fn for_regulator_depth(depth: u32) -> Option<FilterKind> {
+        REGULATOR_KINDS.get(usize::try_from(depth).ok()?.checked_sub(1)?).copied()
+    }
+
     /// Builds the filter, sizing it to the equal-memory anchor: the total
     /// budget is `cfg.memory_bytes() × (1 + cfg.noise_classes())`, exactly
     /// what a [`FlowRegulator`] over `cfg` occupies (the paper's 32 KB →
@@ -231,7 +253,7 @@ impl FilterKind {
             FilterKind::Rcc => {
                 let flat =
                     cfg.with_memory_bytes(budget).expect("scaling a valid geometry up stays valid");
-                AnyFilter::Rcc(SingleLayerRcc::new(flat))
+                AnyFilter::Rcc(FlowRegulator::single_layer(flat))
             }
             FilterKind::Swing => AnyFilter::Swing(SwingFilter::new(budget, cfg.seed())),
             FilterKind::HashFlow => AnyFilter::HashFlow(HashFlowFilter::new(budget, cfg.seed())),
@@ -271,8 +293,8 @@ impl FromStr for FilterKind {
 pub enum AnyFilter {
     /// The paper's two-layer regulator.
     Regulator(FlowRegulator),
-    /// The flat single-layer RCC baseline.
-    Rcc(SingleLayerRcc),
+    /// The flat single-layer RCC baseline: a depth-1 regulator.
+    Rcc(FlowRegulator),
     /// The swing filter alternate.
     Swing(SwingFilter),
     /// The HashFlow alternate.
@@ -282,8 +304,7 @@ pub enum AnyFilter {
 macro_rules! delegate {
     ($self:ident, $f:ident => $body:expr) => {
         match $self {
-            AnyFilter::Regulator($f) => $body,
-            AnyFilter::Rcc($f) => $body,
+            AnyFilter::Regulator($f) | AnyFilter::Rcc($f) => $body,
             AnyFilter::Swing($f) => $body,
             AnyFilter::HashFlow($f) => $body,
         }
@@ -299,16 +320,6 @@ impl AnyFilter {
             AnyFilter::Rcc(_) => FilterKind::Rcc,
             AnyFilter::Swing(_) => FilterKind::Swing,
             AnyFilter::HashFlow(_) => FilterKind::HashFlow,
-        }
-    }
-
-    /// The underlying [`FlowRegulator`], when this filter is one (for
-    /// regulator-specific diagnostics like per-class saturation counts).
-    #[must_use]
-    pub fn as_regulator(&self) -> Option<&FlowRegulator> {
-        match self {
-            AnyFilter::Regulator(fr) => Some(fr),
-            _ => None,
         }
     }
 }
@@ -369,6 +380,34 @@ mod tests {
     }
 
     #[test]
+    fn stats_rates() {
+        let s = FilterStats { packets: 200, updates: 25, mem_accesses: 210, hashes: 200 };
+        assert!((s.regulation_rate() - 0.125).abs() < 1e-12);
+        assert!((s.accesses_per_packet() - 1.05).abs() < 1e-12);
+        assert_eq!(FilterStats::default().regulation_rate(), 0.0);
+        assert_eq!(FilterStats::default().accesses_per_packet(), 0.0);
+    }
+
+    #[test]
+    fn regulator_depths_map_one_to_one_onto_the_kinds_that_build_them() {
+        assert_eq!(FilterKind::Rcc.regulator_depth(), Some(1));
+        assert_eq!(FilterKind::Regulator.regulator_depth(), Some(2));
+        for kind in ALL_FILTER_KINDS {
+            let depth = match kind.build(cfg()) {
+                AnyFilter::Regulator(fr) | AnyFilter::Rcc(fr) => Some(fr.depth()),
+                _ => None,
+            };
+            assert_eq!(kind.regulator_depth(), depth, "{kind}");
+            if let Some(d) = depth {
+                assert_eq!(FilterKind::for_regulator_depth(d), Some(kind));
+            }
+        }
+        for depth in [0, 3, 4, u32::MAX] {
+            assert_eq!(FilterKind::for_regulator_depth(depth), None, "depth {depth}");
+        }
+    }
+
+    #[test]
     fn kind_names_roundtrip_through_from_str() {
         for kind in ALL_FILTER_KINDS {
             assert_eq!(kind.name().parse::<FilterKind>().unwrap(), kind);
@@ -406,7 +445,6 @@ mod tests {
     fn regulator_kind_matches_a_plain_flow_regulator() {
         let mut via_kind = FilterKind::Regulator.build(cfg());
         let mut direct = FlowRegulator::new(cfg());
-        assert!(via_kind.as_regulator().is_some());
         for t in 0..20_000u64 {
             let pkt = PacketRecord::new(key((t % 9) as u32), 700, t);
             assert_eq!(via_kind.process(&pkt), direct.process(&pkt));
@@ -414,9 +452,32 @@ mod tests {
         assert_eq!(via_kind.stats(), FlowFilter::stats(&direct));
         for i in 0..9 {
             let a = via_kind.estimate_packets(FlowDigest::of(&key(i)));
-            let b = direct.residual_packets_digest(FlowDigest::of(&key(i)));
+            let b = direct.estimate_packets(FlowDigest::of(&key(i)));
             assert_eq!(a.to_bits(), b.to_bits());
         }
+
+        // The rcc kind is a depth-1 regulator over the whole budget, and
+        // exports exactly its six `rcc.` metrics.
+        let mut rcc = FilterKind::Rcc.build(cfg());
+        let flat = cfg().with_memory_bytes(rcc.memory_bytes()).unwrap();
+        let mut direct = FlowRegulator::single_layer(flat);
+        for t in 0..20_000u64 {
+            let pkt = PacketRecord::new(key((t % 9) as u32), 700, t);
+            assert_eq!(rcc.process(&pkt), direct.process(&pkt));
+        }
+        let stats = rcc.stats();
+        assert_eq!(stats, FlowFilter::stats(&direct));
+        assert!(stats.updates > 0);
+        let snap = rcc.telemetry();
+        assert_eq!(snap.len(), 6, "{snap:?}");
+        assert_eq!(snap.counter("rcc.packets"), Some(stats.packets));
+        assert_eq!(snap.counter("rcc.updates"), Some(stats.updates));
+        assert_eq!(snap.counter("rcc.hashes"), Some(stats.hashes));
+        assert_eq!(snap.counter("rcc.mem_accesses"), Some(stats.mem_accesses));
+        assert_eq!(snap.gauge("rcc.regulation_rate"), Some(stats.regulation_rate()));
+        let fill = direct.l1().fill_ratio();
+        assert!(fill > 0.0);
+        assert_eq!(snap.gauge("rcc.fill_ratio"), Some(fill));
     }
 
     #[test]

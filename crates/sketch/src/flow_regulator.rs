@@ -1,4 +1,5 @@
-//! The two-layer FlowRegulator (paper §III, Algorithm 1).
+//! The FlowRegulator cascade (paper §III, Algorithm 1) at its two depths:
+//! L1 alone (the flat RCC baseline) and L1 + L2 (the paper's design).
 
 use instameasure_packet::{prefetch, simd as packet_simd, FlowDigest, PacketRecord};
 use instameasure_telemetry::{Instrumented, Snapshot};
@@ -22,9 +23,12 @@ pub struct FlowRegulatorOptions {
     pub independent_l2_hash: bool,
 }
 
-/// The paper's two-layer probabilistic counter.
+/// The paper's layered probabilistic counter, at depth 1 or 2.
 ///
-/// Layer 1 is a plain [`Rcc`]. Layer 2 is one RCC *per L1 noise class*
+/// Layer 1 is a plain [`Rcc`]. At depth 1 ([`FlowRegulator::single_layer`],
+/// the `rcc` filter kind) that is all there is: every L1 saturation is
+/// released. At depth 2 ([`FlowRegulator::new`], the paper's design and
+/// the `regulator` kind) layer 2 is one RCC *per L1 noise class*
 /// (three for 8-bit vectors): when L1 saturates with noise class `z`, a
 /// single bit is encoded into `L2[z]` — so one L2 bit stands for a whole
 /// L1 cycle (~7 packets for `b = 8`). When `L2[z]` itself saturates, the
@@ -39,11 +43,13 @@ pub struct FlowRegulatorOptions {
 /// paper's "hash function reuse"), so a packet costs **one hash and at most
 /// two word accesses**.
 ///
-/// Total memory is `(1 + noise_classes) × memory_bytes` — 4× for the
-/// default 8-bit vectors, matching the paper's 32 KB → 128 KB accounting.
+/// Total memory at depth 2 is `(1 + noise_classes) × memory_bytes` — 4×
+/// for the default 8-bit vectors, matching the paper's 32 KB → 128 KB
+/// accounting. Depth 1 holds `memory_bytes`.
 #[derive(Debug, Clone)]
 pub struct FlowRegulator {
     l1: Rcc,
+    /// One layer per L1 noise class at depth 2; empty at depth 1.
     l2: Vec<Rcc>,
     opts: FlowRegulatorOptions,
     stats: FilterStats,
@@ -60,8 +66,9 @@ pub struct FlowRegulator {
 }
 
 impl FlowRegulator {
-    /// Creates a FlowRegulator whose L1 layer uses `cfg`; L2 layers are
-    /// allocated with identical geometry, one per noise class.
+    /// Creates the paper's depth-2 FlowRegulator whose L1 layer uses
+    /// `cfg`; L2 layers are allocated with identical geometry, one per
+    /// noise class.
     ///
     /// # Example
     ///
@@ -77,34 +84,62 @@ impl FlowRegulator {
         Self::with_options(cfg, FlowRegulatorOptions::default())
     }
 
-    /// Creates a FlowRegulator with explicit design switches (ablations).
+    /// Creates a depth-1 FlowRegulator: L1 alone over `cfg`, releasing
+    /// every L1 saturation (the paper's Figs. 1/7/8 RCC baseline).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use instameasure_sketch::{FlowFilter, FlowRegulator, SketchConfig};
+    /// let cfg = SketchConfig::builder().memory_bytes(32 * 1024).build()?;
+    /// let rcc = FlowRegulator::single_layer(cfg);
+    /// assert_eq!((rcc.depth(), rcc.num_l2_layers()), (1, 0));
+    /// assert_eq!(rcc.memory_bytes(), 32 * 1024);
+    /// # Ok::<(), instameasure_sketch::ConfigError>(())
+    /// ```
+    #[must_use]
+    pub fn single_layer(cfg: SketchConfig) -> Self {
+        Self::with_l2_layers(cfg, FlowRegulatorOptions::default(), 0)
+    }
+
+    /// Creates a depth-2 FlowRegulator with explicit design switches
+    /// (ablations).
     #[must_use]
     pub fn with_options(cfg: SketchConfig, opts: FlowRegulatorOptions) -> Self {
         let classes = if opts.shared_l2 { 1 } else { cfg.noise_classes() as usize };
+        Self::with_l2_layers(cfg, opts, classes)
+    }
+
+    fn with_l2_layers(cfg: SketchConfig, opts: FlowRegulatorOptions, l2_layers: usize) -> Self {
         let l2_cfg =
             if opts.independent_l2_hash { cfg.with_seed(cfg.seed() ^ 0x10E2_5EED) } else { cfg };
         FlowRegulator {
             l1: Rcc::new(cfg),
-            l2: (0..classes).map(|_| Rcc::new(l2_cfg)).collect(),
+            l2: (0..l2_layers).map(|_| Rcc::new(l2_cfg)).collect(),
             opts,
             stats: FilterStats::default(),
             l1_sats_by_class: vec![0; cfg.noise_classes() as usize],
-            l2_sats_by_layer: vec![0; classes],
+            l2_sats_by_layer: vec![0; l2_layers],
             digest_scratch: Vec::new(),
             lane_scratch: Vec::new(),
         }
     }
 
-    /// The active design switches.
-    #[must_use]
-    pub fn options(&self) -> FlowRegulatorOptions {
-        self.opts
-    }
-
-    /// Number of L2 layers (= noise classes of the L1 geometry).
+    /// Number of L2 layers (= noise classes of the L1 geometry at depth 2,
+    /// 0 at depth 1).
     #[must_use]
     pub fn num_l2_layers(&self) -> usize {
         self.l2.len()
+    }
+
+    /// The cascade depth: 1 (L1 alone) or 2 (L1 + L2).
+    #[must_use]
+    pub fn depth(&self) -> u32 {
+        if self.l2.is_empty() {
+            1
+        } else {
+            2
+        }
     }
 
     /// The L1 layer (read-only, for diagnostics).
@@ -169,7 +204,8 @@ impl FlowRegulator {
 
     /// Everything after an L1 saturation: bump the class counter, encode
     /// one bit into the class's L2 (rare, data-dependent — stays scalar),
-    /// and on L2 saturation release the multiplicative estimate. `slot1`
+    /// and on L2 saturation release the multiplicative estimate. At depth
+    /// 1 there is no L2 and the L1 saturation itself is released. `slot1`
     /// is the flow's L1 placement.
     #[inline]
     fn finish_l1_saturation(
@@ -183,7 +219,17 @@ impl FlowRegulator {
         self.l1_sats_by_class[(sat1.noise_class - 1) as usize] += 1;
 
         let class_idx = if self.opts.shared_l2 { 0 } else { (sat1.noise_class - 1) as usize };
-        let layer = &mut self.l2[class_idx];
+        let Some(layer) = self.l2.get_mut(class_idx) else {
+            // Depth 1: the L1 saturation is the release.
+            self.stats.updates += 1;
+            return Some(FlowUpdate {
+                key: pkt.key,
+                digest,
+                est_pkts: sat1.estimate,
+                est_bytes: sat1.estimate * f64::from(pkt.wire_len),
+                ts_nanos: pkt.ts_nanos,
+            });
+        };
         self.stats.mem_accesses += 1;
         let sat2 = if self.opts.independent_l2_hash {
             self.stats.hashes += 1;
@@ -205,29 +251,6 @@ impl FlowRegulator {
             est_bytes: est_pkts * f64::from(pkt.wire_len),
             ts_nanos: pkt.ts_nanos,
         })
-    }
-
-    /// [`FlowFilter::estimate_packets`] with the residual framing: the
-    /// computed: L1's running cycle plus, per class, the L2 cycle decoded
-    /// and scaled by that class's unit. Query layers that hash once for
-    /// several structures use this to skip the key-byte rehash.
-    #[must_use]
-    pub fn residual_packets_digest(&self, digest: FlowDigest) -> f64 {
-        let h = self.l1.hash_digest(digest);
-        let mut total = self.l1.residual_hashed(h);
-        for (idx, layer) in self.l2.iter().enumerate() {
-            // Under the shared-L2 ablation the class is unknowable; use
-            // the top class as the unit (slightly optimistic, like the
-            // design itself).
-            let class =
-                if self.opts.shared_l2 { self.config().noise_max() } else { idx as u32 + 1 };
-            let h2 = if self.opts.independent_l2_hash { layer.hash_digest(digest) } else { h };
-            let sat_count = layer.residual_hashed(h2);
-            if sat_count > 0.0 {
-                total += sat_count * self.class_unit(class);
-            }
-        }
-        total
     }
 }
 
@@ -277,9 +300,24 @@ impl FlowFilter for FlowRegulator {
         self.lane_scratch = lanes;
     }
 
-    /// The residual: [`FlowRegulator::residual_packets_digest`].
+    /// The residual: L1's running cycle plus, per class, the L2 cycle
+    /// decoded and scaled by that class's unit.
     fn estimate_packets(&self, digest: FlowDigest) -> f64 {
-        self.residual_packets_digest(digest)
+        let h = self.l1.hash_digest(digest);
+        let mut total = self.l1.residual_hashed(h);
+        for (idx, layer) in self.l2.iter().enumerate() {
+            // Under the shared-L2 ablation the class is unknowable; use
+            // the top class as the unit (slightly optimistic, like the
+            // design itself).
+            let class =
+                if self.opts.shared_l2 { self.config().noise_max() } else { idx as u32 + 1 };
+            let h2 = if self.opts.independent_l2_hash { layer.hash_digest(digest) } else { h };
+            let sat_count = layer.residual_hashed(h2);
+            if sat_count > 0.0 {
+                total += sat_count * self.class_unit(class);
+            }
+        }
+        total
     }
 
     fn stats(&self) -> FilterStats {
@@ -302,15 +340,29 @@ impl FlowFilter for FlowRegulator {
 }
 
 impl Instrumented for FlowRegulator {
-    /// Exports the regulator's counters under the `regulator.` prefix.
+    /// Exports the depth-2 regulator's counters under the `regulator.`
+    /// prefix.
     ///
     /// Counters: `packets`, `updates` (= `leak_throughs`, estimates
     /// released to the WSAF), `hashes`, `mem_accesses`, `recycles`
     /// (L1 saturations), plus `l1.saturations.class{z}` per noise class
     /// and `l2.layer{i}.saturations` per L2 layer. Gauges:
     /// `regulation_rate`, `l1.fill_ratio`, `l2.layer{i}.fill_ratio`.
+    ///
+    /// Depth 1 is the flat RCC and exports under `rcc.`: counters
+    /// `packets`, `updates`, `hashes`, `mem_accesses`; gauges
+    /// `regulation_rate` and `fill_ratio` (of L1).
     fn telemetry(&self) -> Snapshot {
         let mut snap = Snapshot::new();
+        if self.l2.is_empty() {
+            snap.set_counter("rcc.packets", self.stats.packets);
+            snap.set_counter("rcc.updates", self.stats.updates);
+            snap.set_counter("rcc.hashes", self.stats.hashes);
+            snap.set_counter("rcc.mem_accesses", self.stats.mem_accesses);
+            snap.set_gauge("rcc.regulation_rate", self.stats.regulation_rate());
+            snap.set_gauge("rcc.fill_ratio", self.l1.fill_ratio());
+            return snap;
+        }
         snap.set_counter("regulator.packets", self.stats.packets);
         snap.set_counter("regulator.updates", self.stats.updates);
         snap.set_counter("regulator.leak_throughs", self.stats.updates);
@@ -347,30 +399,82 @@ mod tests {
         SketchConfig::builder().memory_bytes(bytes).vector_bits(8).seed(3).build().unwrap()
     }
 
+    /// Both depths over one geometry: L1 alone, then the paper's design.
+    fn both_depths(cfg: SketchConfig) -> [FlowRegulator; 2] {
+        [FlowRegulator::single_layer(cfg), FlowRegulator::new(cfg)]
+    }
+
     #[test]
     fn allocates_one_l2_per_noise_class() {
         assert_eq!(FlowRegulator::new(cfg(1024)).num_l2_layers(), 3);
         let cfg16 = SketchConfig::builder().memory_bytes(1024).vector_bits(16).build().unwrap();
         assert_eq!(FlowRegulator::new(cfg16).num_l2_layers(), 6);
+        assert_eq!(FlowRegulator::new(cfg16).depth(), 2);
+        assert_eq!(FlowRegulator::single_layer(cfg16).num_l2_layers(), 0);
+        assert_eq!(FlowRegulator::single_layer(cfg16).depth(), 1);
     }
 
     #[test]
     fn memory_accounting_matches_paper() {
-        // 32 KB L1 -> 128 KB total (paper §IV-D).
-        let fr = FlowRegulator::new(cfg(32 * 1024));
+        // 32 KB L1 -> 128 KB total (paper §IV-D); depth 1 holds L1 only.
+        let [rcc, fr] = both_depths(cfg(32 * 1024));
         assert_eq!(fr.memory_bytes(), 128 * 1024);
+        assert_eq!(rcc.memory_bytes(), 32 * 1024);
+    }
+
+    #[test]
+    fn single_layer_regulation_rate_matches_fig1() {
+        // Paper Fig. 1: 8-bit RCC passes 12–19% of packets through to the
+        // WSAF. For a single elephant the rate is 1/coupon ≈ 14%.
+        let mut rcc = FlowRegulator::single_layer(cfg(4096));
+        for t in 0..100_000u64 {
+            rcc.process(&pkt(1, t));
+        }
+        let rate = rcc.stats().regulation_rate();
+        assert!((0.10..0.20).contains(&rate), "RCC regulation rate {rate}");
     }
 
     #[test]
     fn regulation_rate_is_multiplicatively_lower_than_rcc() {
         // Paper Fig. 7: FR ≈ 1%, RCC ≈ 12–19%. For a single elephant the
         // FR rate is ~1/(decode_L1 × decode_L2) ≈ 1.5–2.5%.
-        let mut fr = FlowRegulator::new(cfg(4096));
+        let [mut rcc, mut fr] = both_depths(cfg(4096));
         for t in 0..200_000u64 {
+            rcc.process(&pkt(1, t));
             fr.process(&pkt(1, t));
         }
         let rate = fr.stats().regulation_rate();
         assert!((0.005..0.04).contains(&rate), "FR regulation rate {rate}");
+        let rcc_rate = rcc.stats().regulation_rate();
+        assert!(rate < rcc_rate / 3.0, "depth 2 {rate} << depth 1 {rcc_rate}");
+    }
+
+    #[test]
+    fn retention_matches_the_coupon_model_at_each_depth() {
+        // Single isolated flow: packets per update ≈ period^depth.
+        let cfg = SketchConfig::builder().memory_bytes(8 * 1024).vector_bits(8).seed(5).build();
+        for mut reg in both_depths(cfg.unwrap()) {
+            let n = 500_000u64;
+            for t in 0..n {
+                reg.process(&pkt(1, t));
+            }
+            let period = n as f64 / reg.stats().updates.max(1) as f64;
+            let depth = reg.depth();
+            let model = crate::decode::saturation_period(8, 3).powi(depth as i32);
+            let rel = (period - model).abs() / model;
+            assert!(rel < 0.30, "depth {depth}: period {period} vs model {model}");
+        }
+    }
+
+    #[test]
+    fn single_layer_one_access_one_hash_per_packet() {
+        let mut rcc = FlowRegulator::single_layer(SketchConfig::default());
+        for t in 0..1000 {
+            rcc.process(&pkt(t as u32 % 10, t));
+        }
+        let s = rcc.stats();
+        assert_eq!(s.mem_accesses, 1000);
+        assert_eq!(s.hashes, 1000);
     }
 
     #[test]
@@ -438,18 +542,32 @@ mod tests {
 
     #[test]
     fn byte_estimates_use_trigger_packet_length() {
-        let mut fr = FlowRegulator::new(cfg(1024));
-        let mut checked = false;
-        for t in 0..500_000u64 {
-            let len = if t % 2 == 0 { 64 } else { 1500 };
-            if let Some(u) = fr.process(&PacketRecord::new(key(4), len, t)) {
-                let expected = u.est_pkts * f64::from(len);
-                assert!((u.est_bytes - expected).abs() < 1e-6);
-                checked = true;
-                break;
+        for mut fr in both_depths(cfg(1024)) {
+            let mut checked = false;
+            for t in 0..500_000u64 {
+                let len = if t % 2 == 0 { 64 } else { 1500 };
+                if let Some(u) = fr.process(&PacketRecord::new(key(4), len, t)) {
+                    let expected = u.est_pkts * f64::from(len);
+                    assert!((u.est_bytes - expected).abs() < 1e-6);
+                    assert_eq!(u.ts_nanos, t);
+                    checked = true;
+                    break;
+                }
             }
+            assert!(checked, "depth {}: expected at least one update", fr.depth());
         }
-        assert!(checked, "expected at least one update");
+    }
+
+    #[test]
+    fn digest_estimate_matches_key_residual() {
+        for mut fr in both_depths(SketchConfig::default()) {
+            for t in 0..500 {
+                fr.process(&pkt(3, t));
+            }
+            let by_key = fr.residual_packets(&key(3));
+            let by_digest = fr.estimate_packets(FlowDigest::of(&key(3)));
+            assert_eq!(by_key.to_bits(), by_digest.to_bits(), "depth {}", fr.depth());
+        }
     }
 
     #[test]
@@ -487,11 +605,25 @@ mod tests {
         let trace: Vec<PacketRecord> = (0..8_000u64)
             .map(|t| PacketRecord::new(key((t % 13) as u32), 100 + (t % 1400) as u16, t))
             .collect();
-        for (shared, indep) in [(false, false), (true, false), (false, true), (true, true)] {
-            let opts = FlowRegulatorOptions { shared_l2: shared, independent_l2_hash: indep };
-            for chunk in [1usize, 9, 256, 8_000] {
-                let mut scalar = FlowRegulator::with_options(cfg(2048), opts);
-                let mut batched = FlowRegulator::with_options(cfg(2048), opts);
+        // `None` is depth 1; every option combination runs at depth 2.
+        let designs = [
+            None,
+            Some((false, false)),
+            Some((true, false)),
+            Some((false, true)),
+            Some((true, true)),
+        ];
+        for design in designs {
+            let build = || match design {
+                None => FlowRegulator::single_layer(cfg(2048)),
+                Some((shared_l2, independent_l2_hash)) => FlowRegulator::with_options(
+                    cfg(2048),
+                    FlowRegulatorOptions { shared_l2, independent_l2_hash },
+                ),
+            };
+            for chunk in [1usize, 7, 9, 64, 256, 333, 8_000] {
+                let mut scalar = build();
+                let mut batched = build();
 
                 let mut scalar_out = Vec::new();
                 for pkt in &trace {
@@ -504,7 +636,7 @@ mod tests {
                     batched.process_batch(pkts, &mut batch_out);
                 }
 
-                let ctx = format!("shared={shared} indep={indep} chunk={chunk}");
+                let ctx = format!("design={design:?} chunk={chunk}");
                 assert_eq!(scalar_out, batch_out, "{ctx}");
                 assert_eq!(scalar.stats(), batched.stats(), "{ctx}");
                 for i in 0..13 {
@@ -518,14 +650,15 @@ mod tests {
 
     #[test]
     fn reset_clears_all_layers() {
-        let mut fr = FlowRegulator::new(cfg(1024));
-        for t in 0..10_000u64 {
-            fr.process(&pkt(1, t));
+        for mut fr in both_depths(cfg(1024)) {
+            for t in 0..10_000u64 {
+                fr.process(&pkt(1, t));
+            }
+            fr.reset();
+            assert_eq!(fr.stats(), FilterStats::default());
+            assert_eq!(fr.residual_packets(&key(1)), 0.0);
+            assert_eq!(fr.l1().fill_ratio(), 0.0);
         }
-        fr.reset();
-        assert_eq!(fr.stats(), FilterStats::default());
-        assert_eq!(fr.residual_packets(&key(1)), 0.0);
-        assert_eq!(fr.l1().fill_ratio(), 0.0);
     }
 }
 

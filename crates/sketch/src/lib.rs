@@ -7,19 +7,20 @@
 //! shared memory budget (see [`FilterKind::build`]):
 //!
 //! * [`Rcc`] — the *Recyclable Counter with Confinement* of Nyang & Shin
-//!   (IEEE/ACM ToN 2016), the building block and single-layer baseline. A
-//!   flow owns a *virtual vector* of `b` bit positions confined inside one
-//!   machine word; each packet sets one randomly chosen position; when few
-//!   enough zeros remain the vector **saturates**: its contents are decoded
-//!   online (noise-corrected) and the vector is cleared for reuse.
-//!   [`SingleLayerRcc`] wraps it as a filter.
+//!   (IEEE/ACM ToN 2016), the building block. A flow owns a *virtual
+//!   vector* of `b` bit positions confined inside one machine word; each
+//!   packet sets one randomly chosen position; when few enough zeros
+//!   remain the vector **saturates**: its contents are decoded online
+//!   (noise-corrected) and the vector is cleared for reuse.
 //! * [`FlowRegulator`] — the paper's contribution: a two-layer arrangement
 //!   in which each bit of a layer-2 RCC encodes one *saturation* of the
 //!   layer-1 RCC. Retention capacity therefore grows multiplicatively
 //!   (`decode(L1) × decode(L2)`), which is what lets the regulator shrink
 //!   the WSAF insertion rate to ~1% of the packet rate (paper Fig. 7)
-//!   while still counting accurately. [`MultiLayerRegulator`] generalizes
-//!   it to `L` layers.
+//!   while still counting accurately. The same type at depth 1
+//!   ([`FlowRegulator::single_layer`], L1 alone) is the flat RCC
+//!   baseline; [`REGULATOR_KINDS`] ties each depth to its
+//!   [`FilterKind`].
 //! * [`SwingFilter`] — an exact-counting alternate: a fingerprint stage in
 //!   front of a keyed store, split 1/3 filter – 2/3 store.
 //! * [`HashFlowFilter`] — HashFlow's multi-way main table plus ancillary
@@ -59,9 +60,7 @@ pub mod decode;
 mod filter;
 mod flow_regulator;
 mod hashflow;
-mod multi_layer;
 mod rcc;
-mod regulator;
 #[allow(unsafe_code)]
 mod simd;
 mod swing;
@@ -69,12 +68,9 @@ mod swing;
 pub use config::{ConfigError, SketchConfig, SketchConfigBuilder};
 pub use filter::{
     AnyFilter, FilterKind, FilterStats, FlowFilter, FlowUpdate, UnknownFilterError,
-    ALL_FILTER_KINDS,
+    ALL_FILTER_KINDS, REGULATOR_KINDS,
 };
 pub use flow_regulator::{FlowRegulator, FlowRegulatorOptions};
 pub use hashflow::HashFlowFilter;
-pub use multi_layer::MultiLayerRegulator;
 pub use rcc::{Rcc, SaturationEvent};
 pub use swing::SwingFilter;
-
-pub use regulator::SingleLayerRcc;

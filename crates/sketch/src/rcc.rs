@@ -63,7 +63,7 @@ pub struct Rcc {
     /// a saturation indexes this instead of recomputing the decode.
     saturation_estimates: Vec<f64>,
     /// Per-batch placement scratch (word index / mask / position SoA),
-    /// recycled across [`Rcc::encode_batch`] calls.
+    /// recycled across [`Rcc::prepare_batch`] calls.
     scratch: PlacementScratch,
 }
 
@@ -114,16 +114,6 @@ impl Rcc {
     #[must_use]
     pub fn hash_digest(&self, digest: FlowDigest) -> u64 {
         digest.lane(self.cfg.seed())
-    }
-
-    /// Hints the CPU to pull the counter word of hash `h` toward L1 cache.
-    ///
-    /// Purely advisory (no state change); the batched encode loop issues
-    /// this for packet `i + K` while finishing packet `i`.
-    #[inline]
-    pub fn prefetch_hashed(&self, h: u64) {
-        let word_idx = simd::word_index(h, self.words.len() as u64);
-        prefetch::prefetch_read_index(&self.words, word_idx);
     }
 
     /// Locates the flow's word and virtual-vector mask from its hash.
@@ -233,10 +223,9 @@ impl Rcc {
         self.saturation_estimates[zeros as usize]
     }
 
-    /// Prefetches the counter word of prepared packet `i`; out-of-range
-    /// indices are ignored (ragged batch tails need no guard). Unlike
-    /// [`Rcc::prefetch_hashed`] this reuses the prepared word index
-    /// instead of deriving it again.
+    /// Prefetches the counter word of prepared packet `i` (purely
+    /// advisory, no state change); out-of-range indices are ignored
+    /// (ragged batch tails need no guard).
     #[inline]
     pub(crate) fn prefetch_prepared(&self, i: usize) {
         if let Some(&word_idx) = self.scratch.word_idx.get(i) {
@@ -247,32 +236,6 @@ impl Rcc {
     /// Encodes one packet of `key`. See [`Rcc::encode_hashed`].
     pub fn encode(&mut self, key: &FlowKey) -> Option<SaturationEvent> {
         self.encode_hashed(self.hash_key(key))
-    }
-
-    /// Encodes a batch of precomputed hashes: derive every placement up
-    /// front ([`Rcc::prepare_batch`] — AVX2 eight packets per round where
-    /// available), then run the memory-touching encode loop with the
-    /// counter word of packet `i + K` prefetched while encoding packet
-    /// `i` (K = [`prefetch::prefetch_distance`]). Calls `sink(i, event)`
-    /// for every saturation, in encode order.
-    ///
-    /// Bit-identical to calling [`Rcc::encode_hashed`] on each hash in
-    /// order: prefetching is advisory, the prepared placements are
-    /// derived from the same counter sequence a scalar loop consumes,
-    /// and the vector kernels are differential-tested against the scalar
-    /// oracle.
-    pub fn encode_batch(&mut self, hashes: &[u64], mut sink: impl FnMut(usize, SaturationEvent)) {
-        self.prepare_batch(hashes);
-        let k = prefetch::prefetch_distance();
-        for i in 0..hashes.len().min(k) {
-            self.prefetch_prepared(i);
-        }
-        for i in 0..hashes.len() {
-            self.prefetch_prepared(i + k);
-            if let Some(sat) = self.encode_prepared(i) {
-                sink(i, sat);
-            }
-        }
     }
 
     /// Decodes, without modifying state, the packets currently retained in
@@ -507,44 +470,6 @@ mod tests {
         for i in 0..100 {
             let k = key(i);
             assert_eq!(rcc.hash_key(&k), rcc.hash_digest(FlowDigest::of(&k)));
-        }
-    }
-
-    #[test]
-    fn prefetch_does_not_change_state() {
-        let mut rcc = Rcc::new(small_cfg());
-        for i in 0..100 {
-            rcc.encode(&key(i));
-        }
-        let before = rcc.clone();
-        for i in 0..200 {
-            rcc.prefetch_hashed(rcc.hash_key(&key(i)));
-        }
-        assert_eq!(rcc.words, before.words);
-        assert_eq!(rcc.draw_counter, before.draw_counter);
-    }
-
-    #[test]
-    fn encode_batch_is_bit_identical_to_scalar() {
-        for n in [0usize, 1, 3, 8, 9, 64, 1000] {
-            let mut scalar = Rcc::new(small_cfg());
-            let mut batched = Rcc::new(small_cfg());
-            let hashes: Vec<u64> = (0..n as u32).map(|i| scalar.hash_key(&key(i % 17))).collect();
-
-            let mut scalar_sats = Vec::new();
-            for (i, &h) in hashes.iter().enumerate() {
-                if let Some(s) = scalar.encode_hashed(h) {
-                    scalar_sats.push((i, s));
-                }
-            }
-            let mut batch_sats = Vec::new();
-            batched.encode_batch(&hashes, |i, s| batch_sats.push((i, s)));
-
-            assert_eq!(scalar_sats, batch_sats, "n={n}");
-            assert_eq!(scalar.words, batched.words, "n={n}");
-            assert_eq!(scalar.draw_counter, batched.draw_counter, "n={n}");
-            assert_eq!(scalar.encodes(), batched.encodes(), "n={n}");
-            assert_eq!(scalar.saturations(), batched.saturations(), "n={n}");
         }
     }
 

@@ -1,7 +1,7 @@
 //! Property tests on the sketch invariants.
 
 use instameasure_packet::{FlowKey, PacketRecord, Protocol};
-use instameasure_sketch::{decode, FlowFilter, FlowRegulator, Rcc, SingleLayerRcc, SketchConfig};
+use instameasure_sketch::{decode, FlowFilter, FlowRegulator, Rcc, SketchConfig};
 use proptest::prelude::*;
 
 fn key(i: u32) -> FlowKey {
@@ -95,7 +95,7 @@ proptest! {
     fn regulator_stats_are_consistent(flows in 1u32..50, pkts_per_flow in 1u64..200) {
         let cfg = SketchConfig::builder().memory_bytes(8192).vector_bits(8).build().unwrap();
         for reg in [&mut FlowRegulator::new(cfg) as &mut dyn FlowFilter,
-                    &mut SingleLayerRcc::new(cfg) as &mut dyn FlowFilter] {
+                    &mut FlowRegulator::single_layer(cfg) as &mut dyn FlowFilter] {
             let mut updates = 0u64;
             for i in 0..flows {
                 for t in 0..pkts_per_flow {

@@ -5,19 +5,35 @@
 //! cargo run --release --example deployment_planner
 //! ```
 //!
-//! By default the DRAM rows use the paper's 80 ns random-access constant.
+//! Each row asks the auto-tuner's solver for the cheapest regulator (depth
+//! 1 or 2, the depths the pipeline runs) that absorbs the link's packet
+//! rate at a 3x margin. By default the WSAF memory is a one-point profile
+//! at the technology's paper latency (DRAM 80 ns, SRAM 5 ns, TCAM 2 ns).
 //! Pass `--profile PATH` (a profile written by `instameasure tune`) to
-//! re-plan the DRAM rows against this host's *measured* latency instead:
+//! re-plan the DRAM rows against this host's *measured* latency curve:
 //!
 //! ```text
 //! instameasure tune            # calibrates and caches the profile
 //! cargo run --release --example deployment_planner -- --profile /tmp/instameasure-profile-v1.txt
 //! ```
 
-use instameasure::autotune::MachineProfile;
-use instameasure::core::planner::{plan_regulator, plan_regulator_measured, Plan};
+use instameasure::autotune::{solve, LatencyPoint, MachineProfile, TuneRequest};
 use instameasure::memmodel::MemoryTechnology;
 use instameasure::traffic::presets::caida_like;
+
+/// A WSAF in `tech` at its paper latency: a one-point profile, flat at
+/// every working-set size.
+fn technology_profile(tech: MemoryTechnology) -> MachineProfile {
+    let paper = MachineProfile::paper();
+    MachineProfile::from_parts(
+        vec![LatencyPoint { bytes: 1, nanos: tech.access_nanos() }],
+        paper.hash_ns(),
+        paper.seq_ns(),
+        0,
+        false,
+    )
+    .expect("a technology's paper latency is a valid one-point profile")
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -39,7 +55,7 @@ fn main() {
     );
     match &profile {
         Some(p) => println!(
-            "DRAM latency: {:.1} ns measured (calibrated profile; SRAM/TCAM rows keep paper constants)",
+            "DRAM latency: measured curve, {:.1} ns plateau (calibrated profile; SRAM/TCAM rows keep paper constants)",
             p.dram_ns()
         ),
         None => println!("DRAM latency: 80.0 ns (paper constant; pass --profile to use a calibrated one)"),
@@ -60,13 +76,11 @@ fn main() {
         // The calibrated profile only replaces the DRAM rows: the measured
         // ladder describes this host's cache/DRAM hierarchy, not an SRAM
         // or TCAM part it doesn't have.
-        let plan: Option<Plan> = match (&profile, tech) {
-            (Some(p), MemoryTechnology::Dram) => {
-                plan_regulator_measured(pps, p.dram_ns(), &sizes, 3.0)
-            }
-            _ => plan_regulator(pps, tech, &sizes, 3.0),
+        let memory = match (&profile, tech) {
+            (Some(p), MemoryTechnology::Dram) => p.clone(),
+            _ => technology_profile(tech),
         };
-        match plan {
+        match solve(&memory, &TuneRequest::throughput(pps, 3.0), &sizes) {
             Some(p) => println!(
                 "{:<26} {:>10.2e} {:>7}b {:>8} {:>11.3}% {:>8.1}x",
                 name,

@@ -8,7 +8,7 @@
 //! share (a decode table, a reused placement) would slip past them. These
 //! checksums compare against the recorded output instead: every
 //! [`FlowUpdate`] the [`FlowRegulator`] (all four ablation combinations)
-//! and the flat [`SingleLayerRcc`] release on a seeded CAIDA-like trace,
+//! and the flat depth-1 [`FlowRegulator`] release on a seeded CAIDA-like trace,
 //! through `process_batch` and through scalar `process`, and the WSAF
 //! top-k plus the point estimates of [`InstaMeasure`] on the same trace.
 //!
@@ -19,8 +19,7 @@
 use instameasure::core::{InstaMeasure, InstaMeasureConfig};
 use instameasure::packet::PacketRecord;
 use instameasure::sketch::{
-    FilterKind, FlowFilter, FlowRegulator, FlowRegulatorOptions, FlowUpdate, SingleLayerRcc,
-    SketchConfig,
+    FilterKind, FlowFilter, FlowRegulator, FlowRegulatorOptions, FlowUpdate, SketchConfig,
 };
 use instameasure::traffic::presets::caida_like;
 
@@ -142,7 +141,7 @@ fn single_layer_rcc_updates_match_the_recorded_checksums() {
     let records = trace(11);
     for (bits, golden) in RCC_GOLDEN {
         for batched in [true, false] {
-            let got = filter_checksum(SingleLayerRcc::new(sketch(bits)), &records, batched);
+            let got = filter_checksum(FlowRegulator::single_layer(sketch(bits)), &records, batched);
             assert_eq!(got, golden, "rcc b={bits} batched={batched}: {got:#018x}");
         }
     }

@@ -3,7 +3,7 @@
 
 use instameasure::core::metrics::standard_error;
 use instameasure::core::{InstaMeasure, InstaMeasureConfig};
-use instameasure::sketch::{analysis, FlowFilter, FlowRegulator, SingleLayerRcc, SketchConfig};
+use instameasure::sketch::{analysis, FlowFilter, FlowRegulator, SketchConfig};
 use instameasure::traffic::presets::caida_like;
 use instameasure::wsaf::WsafConfig;
 
@@ -17,7 +17,7 @@ fn regulation_rates_stable_across_seeds() {
     for seed in 0..8u64 {
         let trace = caida_like(0.02, seed);
         let mut fr = FlowRegulator::new(sketch(seed));
-        let mut rcc = SingleLayerRcc::new(sketch(seed ^ 0xFF));
+        let mut rcc = FlowRegulator::single_layer(sketch(seed ^ 0xFF));
         for r in &trace.records {
             fr.process(r);
             rcc.process(r);
