@@ -431,25 +431,16 @@ impl ChainModel {
     }
 }
 
-/// Groups a workload into (size, count) pairs, quantizing large sizes to
-/// three significant bits so Zipf-shaped 400k-flow samples stay a few
-/// hundred distinct entries.
+/// Groups a workload into (size, count) pairs by exact size, so the
+/// predicted regulation rate is `analysis::expected_regulation_rate`'s:
+/// rounding sizes biases it low. Zipf samples hold at most a few thousand
+/// distinct sizes, so exact groups keep a solve in milliseconds.
 fn group_sizes(sizes: &[u64]) -> Vec<(u64, u64)> {
-    let mut by_size = std::collections::HashMap::new();
+    let mut by_size = std::collections::BTreeMap::new();
     for &s in sizes {
-        let q = if s <= 256 {
-            s
-        } else {
-            // Round to the nearest 3-significant-bit value (floor would
-            // bias the modeled saturation rate low by several percent).
-            let shift = 63 - s.leading_zeros() as u64 - 2;
-            ((s >> (shift - 1)).div_ceil(2)) << shift
-        };
-        *by_size.entry(q).or_insert(0u64) += 1;
+        *by_size.entry(s).or_insert(0u64) += 1;
     }
-    let mut grouped: Vec<(u64, u64)> = by_size.into_iter().collect();
-    grouped.sort_unstable();
-    grouped
+    by_size.into_iter().collect()
 }
 
 /// The layer-1 occupancy rule: enough L1 bits that at most ~8 concurrent

@@ -17,17 +17,15 @@
 //!   flows WSAF-resident, on 1 and 4 shards. Gated on p50: every
 //!   epoch's features scale with the live flows.
 //!
-//! A manual timing pass writes `BENCH_detect.json` at the repo root
-//! (override with `INSTAMEASURE_BENCH_JSON`) with p50/p99/max
-//! onset→alert latency for each case. If a gated percentile exceeds the
-//! budget the run prints a `DETECT-REGRESSION` marker, which the CI
-//! bench-smoke job greps for.
+//! The run writes `BENCH_detect.json` with p50/p99/max onset→alert
+//! latency for each case. If a gated percentile exceeds the budget it
+//! prints a `DETECT-REGRESSION` line.
 //!
-//! `INSTAMEASURE_BENCH_SMOKE=1` shrinks the epoch counts and relaxes the
-//! budget — CI shares cores; the full run enforces the paper's number.
+//! Smoke mode shrinks the epoch counts and relaxes the budget.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use instameasure_bench::harness::{self, Gate, Obj, Timer};
 use instameasure_core::detect::{AnomalyKind, DetectorConfig};
 use instameasure_core::InstaMeasureConfig;
 use instameasure_packet::PacketRecord;
@@ -41,28 +39,26 @@ use instameasure_traffic::presets::caida_like;
 /// every one of its 15 k flows leaves the regulator for the WSAF.
 const CAIDA_REPLAYS: usize = 40;
 
-/// Alert-latency budget in milliseconds: the paper's detection target
-/// for the full run, a shared-core allowance for smoke.
-fn budget_ms(smoke: bool) -> f64 {
-    if smoke {
-        25.0
-    } else {
-        10.0
-    }
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
-
-/// One case's rotate→alert latencies.
+/// One case's rotate→alert latencies, in milliseconds.
 struct Latencies {
+    shards: usize,
     epochs: usize,
     resident_flows: u64,
     p50: f64,
     p99: f64,
     max: f64,
+}
+
+impl Latencies {
+    fn json(&self) -> Obj {
+        Obj::default()
+            .with("shards", self.shards)
+            .with("epochs", self.epochs)
+            .with("resident_flows", self.resident_flows)
+            .with("p50_ms", self.p50)
+            .with("p99_ms", self.p99)
+            .with("max_ms", self.max)
+    }
 }
 
 /// Boots a daemon with `shards` workers at `serve`'s per-shard
@@ -88,7 +84,7 @@ fn rotate_to_alert(shards: usize, epoch: &[&[PacketRecord]], epochs: usize) -> L
             .expect("subscriber connect");
     sub.subscribe(0).expect("detection is enabled");
 
-    let mut samples_ms = Vec::with_capacity(epochs);
+    let mut timer = Timer::default();
     let mut resident_flows = 0;
     for _ in 0..epochs {
         // Make the epoch resident, outside the timed region: the
@@ -105,16 +101,16 @@ fn rotate_to_alert(shards: usize, epoch: &[&[PacketRecord]], epochs: usize) -> L
             std::thread::sleep(Duration::from_millis(1));
         }
 
-        let t0 = Instant::now();
-        sub.rotate().expect("rotate closes the epoch");
-        loop {
-            match sub.next_alert().expect("alert stream") {
-                Some((_, a)) if a.kind == AnomalyKind::SuperSpreader => break,
-                Some(_) => continue,
-                None => panic!("scan epoch closed without a spreader alert"),
+        timer.time(|| {
+            sub.rotate().expect("rotate closes the epoch");
+            loop {
+                match sub.next_alert().expect("alert stream") {
+                    Some((_, a)) if a.kind == AnomalyKind::SuperSpreader => break,
+                    Some(_) => continue,
+                    None => panic!("scan epoch closed without a spreader alert"),
+                }
             }
-        }
-        samples_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        });
         // Drain stragglers so the next epoch starts clean.
         while sub.next_alert().expect("alert stream").is_some() {}
     }
@@ -123,91 +119,54 @@ fn rotate_to_alert(shards: usize, epoch: &[&[PacketRecord]], epochs: usize) -> L
     tap.shutdown().expect("daemon drains clean");
     server.join();
 
-    samples_ms.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    Latencies {
-        epochs,
-        resident_flows,
-        p50: percentile(&samples_ms, 0.50),
-        p99: percentile(&samples_ms, 0.99),
-        max: *samples_ms.last().expect("at least one epoch ran"),
-    }
+    let [p50, p99, max] = [0.5, 0.99, 1.0].map(|p| timer.quantile_secs(p) * 1e3);
+    println!(
+        "detect: {shards} shard(s), {resident_flows} resident flows, {epochs} epochs, \
+         onset->alert p50 {p50:.3} ms, p99 {p99:.3} ms, max {max:.3} ms"
+    );
+    Latencies { shards, epochs, resident_flows, p50, p99, max }
 }
 
 fn main() {
-    let smoke = std::env::var("INSTAMEASURE_BENCH_SMOKE").is_ok();
-    let budget = budget_ms(smoke);
-    let wsaf_entries = InstaMeasureConfig::default().wsaf.num_entries();
+    let smoke = harness::smoke();
+    // The paper's detection target for the full run, a shared-core
+    // allowance for smoke.
+    let budget = if smoke { 25.0 } else { 10.0 };
     let (scan, _) = horizontal_scan(200, 300, 0);
-
     let attack = rotate_to_alert(2, &[&scan], if smoke { 20 } else { 200 });
-    println!(
-        "detect: {} epochs, onset->alert p50 {:.3} ms, p99 {:.3} ms, max {:.3} ms \
-         (budget {budget:.0} ms)",
-        attack.epochs, attack.p50, attack.p99, attack.max
-    );
 
     // The scan rides in one replay of the trace, so every epoch alerts.
     let trace = caida_like(0.1, 1).records;
     let with_scan = merge_records(vec![trace.clone(), scan]);
-    let caida_epochs = if smoke { 3 } else { 30 };
     let mut epoch: Vec<&[PacketRecord]> = vec![&trace; CAIDA_REPLAYS - 1];
     epoch.push(&with_scan);
-    let caida: Vec<(usize, Latencies)> = [1, 4]
-        .into_iter()
-        .map(|shards| {
-            let row = rotate_to_alert(shards, &epoch, caida_epochs);
-            println!(
-                "detect: caida scale, {shards} shard(s), {} resident flows, {} epochs, \
-                 onset->alert p50 {:.3} ms, p99 {:.3} ms, max {:.3} ms (budget {budget:.0} ms)",
-                row.resident_flows, row.epochs, row.p50, row.p99, row.max
-            );
-            (shards, row)
-        })
-        .collect();
+    let caida = [1, 4].map(|shards| rotate_to_alert(shards, &epoch, if smoke { 3 } else { 30 }));
 
-    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let caida_rows: Vec<String> = caida
-        .iter()
-        .map(|(shards, r)| {
-            format!(
-                "    {{\"shards\": {shards}, \"epochs\": {}, \"resident_flows\": {}, \
-                 \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"max_ms\": {:.3}}}",
-                r.epochs, r.resident_flows, r.p50, r.p99, r.max
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"detect\",\n  \"smoke\": {smoke},\n  \"cpus\": {cpus},\n  \
-         \"epochs\": {},\n  \"wsaf_entries\": {wsaf_entries},\n  \
-         \"attack\": \"horizontal_scan(200, 300)\",\n  \
-         \"p50_ms\": {:.3},\n  \"p99_ms\": {:.3},\n  \"max_ms\": {:.3},\n  \
-         \"budget_ms\": {budget:.1},\n  \
-         \"caida\": \"caida_like(0.1, 1) x {CAIDA_REPLAYS} + horizontal_scan(200, 300)\",\n  \
-         \"caida_rows\": [\n{}\n  ]\n}}\n",
-        attack.epochs,
-        attack.p50,
-        attack.p99,
-        attack.max,
-        caida_rows.join(",\n")
+    harness::record("detect")
+        .with("epochs", attack.epochs)
+        .with("wsaf_entries", InstaMeasureConfig::default().wsaf.num_entries())
+        .with("attack", "horizontal_scan(200, 300)")
+        .with("p50_ms", attack.p50)
+        .with("p99_ms", attack.p99)
+        .with("max_ms", attack.max)
+        .with("budget_ms", budget)
+        .with("caida", format!("caida_like(0.1, 1) x {CAIDA_REPLAYS} + horizontal_scan(200, 300)"))
+        .with("caida_rows", caida.iter().map(Latencies::json).collect::<Vec<_>>())
+        .write("detect");
+
+    let mut gate = Gate::new("DETECT");
+    gate.fail_if(
+        attack.p99 > budget,
+        format_args!("p99 alert latency {:.3} ms exceeds the {budget:.0} ms budget", attack.p99),
     );
-    let path = std::env::var("INSTAMEASURE_BENCH_JSON")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_detect.json", env!("CARGO_MANIFEST_DIR")));
-    std::fs::write(&path, json).expect("write BENCH_detect.json");
-    println!("detect: wrote {path}");
-
-    if attack.p99 > budget {
-        println!(
-            "DETECT-REGRESSION: p99 alert latency {:.3} ms exceeds the {budget:.0} ms budget",
-            attack.p99
+    for r in &caida {
+        gate.fail_if(
+            r.p50 > budget,
+            format_args!(
+                "caida-scale p50 alert latency {:.3} ms on {} shard(s) exceeds the {budget:.0} ms \
+                 budget",
+                r.p50, r.shards
+            ),
         );
-    }
-    for (shards, r) in &caida {
-        if r.p50 > budget {
-            println!(
-                "DETECT-REGRESSION: caida-scale p50 alert latency {:.3} ms on {shards} shard(s) \
-                 exceeds the {budget:.0} ms budget",
-                r.p50
-            );
-        }
     }
 }

@@ -2,18 +2,15 @@
 //! ([`InstaMeasure::process`]) against the batched pipeline
 //! ([`InstaMeasure::process_batch`]) under both dispatch tiers
 //! (forced-scalar kernels vs AVX2 where the host supports it) across a
-//! sweep of batch sizes × software-prefetch distances, on a
+//! sweep of batch sizes × software-prefetch distances, on the harness's
 //! cache-hostile workload — a multi-megabyte L1 arena and hundreds of
 //! thousands of flows, so every packet's counter word is a likely DRAM
 //! miss that prefetching can hide and the hash/placement arithmetic the
 //! SIMD kernels vectorize is what's left on the critical path.
 //!
-//! Besides the criterion groups, a manual timing pass writes
-//! `BENCH_hotpath.json` at the repo root (override the path with
-//! `INSTAMEASURE_BENCH_JSON`) recording packets/sec for every matrix
-//! cell and the winning configuration. A `HOTPATH-REGRESSION` marker
-//! (which the CI bench-smoke job greps for) prints when any of the
-//! gates fail:
+//! Each cell is the best of a few replays, `InstaMeasure::new` included.
+//! `BENCH_hotpath.json` records packets/sec for every cell and the
+//! winner. A `HOTPATH-REGRESSION` line prints when:
 //!
 //! * the best batched configuration is slower than scalar;
 //! * AVX2 is available but the best SIMD cell does not beat the best
@@ -23,30 +20,19 @@
 //!   dip was a fixed prefetch distance overshooting the batch; the
 //!   distance sweep plus runtime clamping keeps it fixed).
 //!
-//! `INSTAMEASURE_BENCH_SMOKE=1` shrinks the trace and sample counts to a
-//! few seconds of wall time — a compile-and-sanity gate, not a
-//! measurement.
+//! Smoke mode shrinks the trace and rep count to a few seconds — a
+//! compile-and-sanity gate, not a measurement.
 
-use std::time::Instant;
-
-use criterion::{Criterion, Throughput};
-use instameasure_core::{InstaMeasure, InstaMeasureConfig};
+use instameasure_bench::harness::{self, Gate, Obj, Timer};
+use instameasure_core::InstaMeasure;
+use instameasure_packet::PacketRecord;
 use instameasure_packet::{prefetch, simd};
-use instameasure_packet::{FlowKey, PacketRecord, Protocol};
-use instameasure_sketch::SketchConfig;
-use instameasure_wsaf::WsafConfig;
-use rand::{Rng, SeedableRng};
 
 /// Batch sizes the comparison sweeps; spans well below and above every
 /// prefetch distance in the sweep.
 const BATCH_SIZES: [usize; 4] = [16, 64, 256, 1024];
 /// Prefetch distances the matrix sweeps around the compiled default.
 const DISTANCES: [usize; 4] = [4, 8, 16, 32];
-
-struct Workload {
-    records: Vec<PacketRecord>,
-    flows: usize,
-}
 
 /// One measured cell of the dispatch matrix.
 struct Cell {
@@ -57,86 +43,50 @@ struct Cell {
     speedup: f64,
 }
 
-/// Uniform random flows over a large key universe: maximally cache-hostile
-/// for the sketch arena, which is the regime prefetching exists for.
-fn workload(packets: usize, flows: usize, seed: u64) -> Workload {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let records = (0..packets as u64)
-        .map(|t| {
-            let i = rng.gen_range(0..flows as u32);
-            let key = FlowKey::new(
-                i.to_be_bytes(),
-                (i ^ 0xA5A5_A5A5).to_be_bytes(),
-                (i % 60_000) as u16,
-                443,
-                Protocol::Udp,
-            );
-            PacketRecord::new(key, 64 + (t % 1400) as u16, t)
-        })
-        .collect();
-    Workload { records, flows }
-}
-
-/// A geometry big enough that the L1 word array (and the WSAF) dwarf the
-/// last-level cache on typical hardware.
-fn config() -> InstaMeasureConfig {
-    InstaMeasureConfig::default()
-        .with_sketch(
-            SketchConfig::builder().memory_bytes(8 * 1024 * 1024).vector_bits(8).build().unwrap(),
-        )
-        .with_wsaf(WsafConfig::builder().entries_log2(18).build().unwrap())
-}
-
-fn run_scalar(records: &[PacketRecord]) -> usize {
-    let mut im = InstaMeasure::new(config());
-    for r in records {
-        im.process(r);
+impl Cell {
+    fn json(&self) -> Obj {
+        Obj::default()
+            .with("tier", self.tier)
+            .with("batch_size", self.batch_size)
+            .with("prefetch_distance", self.distance)
+            .with("pps", self.pps)
+            .with("speedup", self.speedup)
     }
-    im.wsaf().len()
 }
 
-fn run_batched(records: &[PacketRecord], batch_size: usize) -> usize {
-    let mut im = InstaMeasure::new(config());
-    for chunk in records.chunks(batch_size) {
-        im.process_batch(chunk);
-    }
-    im.wsaf().len()
+/// Best-of-`reps` packets/second of replaying `records` into a fresh
+/// system, `batch_size` packets at a time (`None`: per packet).
+fn best_pps(records: &[PacketRecord], reps: usize, batch_size: Option<usize>) -> f64 {
+    let (timer, _) = Timer::repeat(reps, || {
+        let mut im = InstaMeasure::new(harness::cache_hostile_config());
+        if let Some(n) = batch_size {
+            records.chunks(n).for_each(|chunk| im.process_batch(chunk));
+        } else {
+            for r in records {
+                im.process(r);
+            }
+        }
+        im.wsaf().len()
+    });
+    timer.rate(records.len())
 }
 
-/// Best-of-`reps` packets/second for one replay function.
-fn best_pps(records: &[PacketRecord], reps: usize, f: impl Fn(&[PacketRecord]) -> usize) -> f64 {
-    let mut best = 0.0f64;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let len = f(records);
-        let secs = start.elapsed().as_secs_f64();
-        std::hint::black_box(len);
-        let pps = records.len() as f64 / secs;
-        best = best.max(pps);
-    }
-    best
-}
-
-/// The batched tiers the matrix sweeps: forced-scalar kernels always,
-/// plus AVX2 dispatch when this host can run it.
-fn tiers() -> Vec<(&'static str, bool)> {
+/// Times every (tier × batch size × prefetch distance) cell. The batched
+/// tiers are forced-scalar kernels always, plus AVX2 dispatch when this
+/// host can run it. Restores the process-global dispatch tier and
+/// prefetch distance afterwards.
+fn run_matrix(records: &[PacketRecord], reps: usize, scalar_pps: f64) -> Vec<Cell> {
     let mut tiers = vec![("batched", true)];
     if simd::simd_supported() {
         tiers.push(("batched+avx2", false));
     }
-    tiers
-}
-
-/// Times every (tier × batch size × prefetch distance) cell. Restores
-/// the process-global dispatch tier and prefetch distance afterwards.
-fn run_matrix(w: &Workload, reps: usize, scalar_pps: f64) -> Vec<Cell> {
     let mut cells = Vec::new();
-    for (tier, disable_simd) in tiers() {
+    for (tier, disable_simd) in tiers {
         simd::set_simd_disabled(disable_simd);
         for &distance in &DISTANCES {
             prefetch::set_prefetch_distance(distance);
             for &batch_size in &BATCH_SIZES {
-                let pps = best_pps(&w.records, reps, |r| run_batched(r, batch_size));
+                let pps = best_pps(records, reps, Some(batch_size));
                 let speedup = pps / scalar_pps;
                 println!(
                     "hot_path: {tier:>13} batch {batch_size:>5} dist {distance:>2}: \
@@ -157,70 +107,53 @@ fn best_where(cells: &[Cell], pred: impl Fn(&Cell) -> bool) -> f64 {
     cells.iter().filter(|c| pred(c)).map(|c| c.speedup).fold(0.0, f64::max)
 }
 
-/// The measured comparison: times the full matrix, writes the JSON
-/// artifact, prints the regression marker if any gate fails.
-fn measure_and_report(w: &Workload, reps: usize, smoke: bool) {
-    let scalar_pps = best_pps(&w.records, reps, run_scalar);
+fn main() {
+    let smoke = harness::smoke();
+    let (packets, flows, reps) =
+        if smoke { (200_000, 100_000, 1) } else { (4_000_000, 400_000, 3) };
+    let records = harness::cache_hostile_workload(packets, flows, 42);
+
+    let scalar_pps = best_pps(&records, reps, None);
     println!("hot_path: scalar {:.2} Mpps baseline", scalar_pps / 1e6);
-    let cells = run_matrix(w, reps, scalar_pps);
+    let cells = run_matrix(&records, reps, scalar_pps);
 
     let best = cells.iter().max_by(|a, b| a.pps.total_cmp(&b.pps)).expect("matrix is non-empty");
     let best_batched_scalar = best_where(&cells, |c| c.tier == "batched");
     let best_simd = best_where(&cells, |c| c.tier == "batched+avx2");
-
-    let rows: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{\"tier\": \"{}\", \"batch_size\": {}, \"prefetch_distance\": {}, \
-                 \"pps\": {:.0}, \"speedup\": {:.4}}}",
-                c.tier, c.batch_size, c.distance, c.pps, c.speedup
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"hot_path\",\n  \"smoke\": {smoke},\n  \"packets\": {},\n  \
-         \"flows\": {},\n  \"prefetch_enabled\": {},\n  \"simd_supported\": {},\n  \
-         \"cpu_features\": \"{}\",\n  \"scalar_pps\": {scalar_pps:.0},\n  \"matrix\": [\n{}\n  ],\n  \
-         \"best\": {{\"tier\": \"{}\", \"batch_size\": {}, \"prefetch_distance\": {}, \
-         \"pps\": {:.0}, \"speedup\": {:.4}}},\n  \
-         \"best_batch_size\": {},\n  \"best_speedup\": {:.4},\n  \
-         \"best_batched_scalar_speedup\": {best_batched_scalar:.4},\n  \
-         \"best_simd_speedup\": {best_simd:.4}\n}}\n",
-        w.records.len(),
-        w.flows,
-        prefetch::prefetch_enabled(),
-        simd::simd_supported(),
-        simd::cpu_features_label(),
-        rows.join(",\n"),
-        best.tier,
-        best.batch_size,
-        best.distance,
-        best.pps,
-        best.speedup,
-        best.batch_size,
-        best.speedup,
-    );
-    let path = std::env::var("INSTAMEASURE_BENCH_JSON")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_hotpath.json", env!("CARGO_MANIFEST_DIR")));
-    std::fs::write(&path, json).expect("write BENCH_hotpath.json");
     println!(
-        "hot_path: best {:.2}x ({} batch {} dist {}); wrote {path}",
+        "hot_path: best {:.2}x ({} batch {} dist {})",
         best.speedup, best.tier, best.batch_size, best.distance
     );
+    harness::record("hot_path")
+        .with("packets", records.len())
+        .with("flows", flows)
+        .with("prefetch_enabled", prefetch::prefetch_enabled())
+        .with("simd_supported", simd::simd_supported())
+        .with("scalar_pps", scalar_pps)
+        .with("matrix", cells.iter().map(Cell::json).collect::<Vec<_>>())
+        .with("best", best.json())
+        .with("best_batch_size", best.batch_size)
+        .with("best_speedup", best.speedup)
+        .with("best_batched_scalar_speedup", best_batched_scalar)
+        .with("best_simd_speedup", best_simd)
+        .write("hotpath");
 
+    let mut gate = Gate::new("HOTPATH");
     // Gate 1: batching must never lose to the per-packet path.
-    if best.speedup < 1.0 {
-        println!("HOTPATH-REGRESSION: batched hot path slower than scalar ({:.2}x)", best.speedup);
-    }
+    let speedup = best.speedup;
+    gate.fail_if(
+        speedup < 1.0,
+        format_args!("batched hot path slower than scalar ({speedup:.2}x)"),
+    );
     // Gate 2: when the host has AVX2, the vector kernels must beat the
     // best the forced-scalar batched path can do at any distance.
-    if simd::simd_supported() && best_simd <= best_batched_scalar {
-        println!(
-            "HOTPATH-REGRESSION: AVX2 dispatch ({best_simd:.2}x) did not beat \
-             batched-scalar ({best_batched_scalar:.2}x)"
-        );
-    }
+    gate.fail_if(
+        simd::simd_supported() && best_simd <= best_batched_scalar,
+        format_args!(
+            "AVX2 dispatch ({best_simd:.2}x) did not beat batched-scalar \
+             ({best_batched_scalar:.2}x)"
+        ),
+    );
     // Gate 3: the batch-64 dip must stay fixed. With the distance swept
     // rather than pinned at the compiled default, a mid-size batch has a
     // distance that suits it — its best cell must hold near its 16/256
@@ -228,45 +161,11 @@ fn measure_and_report(w: &Workload, reps: usize, smoke: bool) {
     // packet replay is noisy.
     let floor = if smoke { 0.70 } else { 0.85 };
     let best_at = |bs: usize| best_where(&cells, |c| c.batch_size == bs);
-    let mid = best_at(64);
-    let neighbours = best_at(16).min(best_at(256));
-    if mid < neighbours * floor {
-        println!(
-            "HOTPATH-REGRESSION: batch-64 dip returned ({mid:.2}x vs {neighbours:.2}x \
-             at 16/256, floor {floor})"
-        );
-    }
-}
-
-fn criterion_groups(c: &mut Criterion, w: &Workload) {
-    let mut group = c.benchmark_group("hot_path");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(w.records.len() as u64));
-    group.bench_function("scalar", |b| b.iter(|| run_scalar(&w.records)));
-    for (tier, disable_simd) in tiers() {
-        simd::set_simd_disabled(disable_simd);
-        for &bs in &BATCH_SIZES {
-            group.bench_function(format!("{tier}/{bs}"), |b| {
-                b.iter(|| run_batched(&w.records, bs));
-            });
-        }
-    }
-    simd::set_simd_disabled(false);
-    group.finish();
-}
-
-fn main() {
-    let smoke = std::env::var("INSTAMEASURE_BENCH_SMOKE").is_ok();
-    let (packets, flows, reps) =
-        if smoke { (200_000, 100_000, 1) } else { (4_000_000, 400_000, 3) };
-    let w = workload(packets, flows, 42);
-
-    measure_and_report(&w, reps, smoke);
-
-    // The criterion view of the same comparison (skipped in smoke mode —
-    // the manual pass above is the quick gate).
-    if !smoke {
-        let mut c = Criterion::default();
-        criterion_groups(&mut c, &w);
-    }
+    let (mid, neighbours) = (best_at(64), best_at(16).min(best_at(256)));
+    gate.fail_if(
+        mid < neighbours * floor,
+        format_args!(
+            "batch-64 dip returned ({mid:.2}x vs {neighbours:.2}x at 16/256, floor {floor})"
+        ),
+    );
 }

@@ -7,35 +7,23 @@
 //! * **ARE** — average relative error over the top-1000 true flows,
 //!   queried through the full pipeline (WSAF + filter residual);
 //! * **throughput** — end-to-end replay Mpps through
-//!   [`InstaMeasure::process_batch`] in 256-packet chunks;
+//!   [`InstaMeasure::process_batch`] in 256-packet chunks, best of a few
+//!   replays, construction outside the timed region;
 //! * **ips reduction** — `1 − updates/packets`, the fraction of packets
 //!   the filter absorbed instead of inserting into the WSAF (paper Fig. 7
 //!   territory: the regulator's whole purpose).
 //!
-//! Results land in `BENCH_shootout.json` at the repo root (override with
-//! `INSTAMEASURE_BENCH_JSON`). Sanity failures print a
-//! `SHOOTOUT-REGRESSION` marker which the CI bench-smoke job greps for.
-//! `INSTAMEASURE_BENCH_SMOKE=1` shrinks the trace to a few seconds of
-//! wall time — a compile-and-sanity gate, not a measurement.
+//! Results land in `BENCH_shootout.json`; a failed sanity check prints
+//! a `SHOOTOUT-REGRESSION` line. Smoke mode shrinks the trace to a few
+//! seconds of wall time — a compile-and-sanity gate, not a measurement.
 
-use std::time::Instant;
-
+use instameasure_bench::harness::{self, Gate, Obj, Timer};
 use instameasure_core::{InstaMeasure, InstaMeasureConfig};
-use instameasure_packet::PacketRecord;
 use instameasure_sketch::{FilterKind, SketchConfig, ALL_FILTER_KINDS};
 use instameasure_traffic::presets::caida_like;
 use instameasure_wsaf::WsafConfig;
 
 const CHUNK: usize = 256;
-
-/// One filter kind's scorecard.
-struct Row {
-    kind: FilterKind,
-    memory_bytes: usize,
-    mpps: f64,
-    are_top1000: f64,
-    ips_reduction: f64,
-}
 
 /// The shared geometry every kind is sized against: a 32 KiB L1 sketch
 /// (so [`FilterKind::build`]'s equal-memory anchor gives each filter the
@@ -54,20 +42,8 @@ fn config(kind: FilterKind, seed: u64) -> InstaMeasureConfig {
         .with_filter(kind)
 }
 
-/// Replays the trace once, returning the populated system and the replay
-/// wall time. Deterministic: every rep produces an identical system.
-fn replay(records: &[PacketRecord], kind: FilterKind, seed: u64) -> (InstaMeasure, f64) {
-    let mut im = InstaMeasure::new(config(kind, seed));
-    let start = Instant::now();
-    for chunk in records.chunks(CHUNK) {
-        im.process_batch(chunk);
-    }
-    let secs = start.elapsed().as_secs_f64();
-    (im, secs)
-}
-
 fn main() {
-    let smoke = std::env::var("INSTAMEASURE_BENCH_SMOKE").is_ok();
+    let smoke = harness::smoke();
     let (scale, reps) = if smoke { (0.02, 1) } else { (0.3, 3) };
     let seed = 42u64;
     let trace = caida_like(scale, seed);
@@ -80,16 +56,22 @@ fn main() {
         ALL_FILTER_KINDS.len()
     );
 
+    // Sanity gates: every kind must actually run, keep to the shared
+    // budget, and the paper's own design must stay accurate and keep
+    // suppressing WSAF insertions.
+    let budget = 32 * 1024 * 4; // memory_bytes × (1 + noise_classes) for b=8
+    let mut gate = Gate::new("SHOOTOUT");
     let mut rows = Vec::new();
     for kind in ALL_FILTER_KINDS {
-        let mut best_secs = f64::INFINITY;
-        let mut im = None;
-        for _ in 0..reps {
-            let (sys, secs) = replay(&trace.records, kind, seed);
-            best_secs = best_secs.min(secs);
-            im = Some(sys);
-        }
-        let im = im.expect("at least one rep");
+        // Every rep builds an identical system; the last one is scored.
+        let (timer, im) = Timer::repeat_with(
+            reps,
+            || InstaMeasure::new(config(kind, seed)),
+            |mut im| {
+                trace.records.chunks(CHUNK).for_each(|chunk| im.process_batch(chunk));
+                im
+            },
+        );
         let are = top
             .iter()
             .map(|(k, t)| (im.estimate_packets(k) - *t as f64).abs() / *t as f64)
@@ -97,84 +79,43 @@ fn main() {
             / top.len().max(1) as f64;
         let stats = im.filter_stats();
         let ips_reduction = 1.0 - stats.updates as f64 / stats.packets.max(1) as f64;
-        let row = Row {
-            kind,
-            memory_bytes: im.filter().memory_bytes(),
-            mpps: trace.records.len() as f64 / best_secs / 1e6,
-            are_top1000: are,
-            ips_reduction,
-        };
+        let (name, memory_bytes) = (kind.name(), im.filter().memory_bytes());
+        let mpps = timer.rate(trace.records.len()) / 1e6;
         println!(
-            "shootout: {:<10} {:>7} B  {:>7.2} Mpps  ARE {:.4}  ips-reduction {:.4}",
-            row.kind.name(),
-            row.memory_bytes,
-            row.mpps,
-            row.are_top1000,
-            row.ips_reduction
+            "shootout: {name:<10} {memory_bytes:>7} B  {mpps:>7.2} Mpps  ARE {are:.4}  \
+             ips-reduction {ips_reduction:.4}"
         );
-        rows.push(row);
-    }
+        rows.push(
+            Obj::default()
+                .with("kind", name)
+                .with("memory_bytes", memory_bytes)
+                .with("mpps", mpps)
+                .with("are_top1000", are)
+                .with("ips_reduction", ips_reduction),
+        );
 
-    // Sanity gates: every kind must actually run, keep to the shared
-    // budget, and the paper's own design must stay accurate and keep
-    // suppressing WSAF insertions. Any failure prints the CI marker.
-    let budget = 32 * 1024 * 4; // memory_bytes × (1 + noise_classes) for b=8
-    let mut regressions = Vec::new();
-    for row in &rows {
-        if !(row.mpps.is_finite() && row.mpps > 0.0) {
-            regressions.push(format!("{} produced no throughput", row.kind.name()));
-        }
-        if row.memory_bytes > budget {
-            regressions.push(format!(
-                "{} exceeds the shared budget: {} > {budget} bytes",
-                row.kind.name(),
-                row.memory_bytes
-            ));
-        }
-        if !row.are_top1000.is_finite() {
-            regressions.push(format!("{} ARE is not finite", row.kind.name()));
+        gate.fail_if(
+            !(mpps.is_finite() && mpps > 0.0),
+            format_args!("{name} produced no throughput"),
+        );
+        gate.fail_if(
+            memory_bytes > budget,
+            format_args!("{name} exceeds the shared budget: {memory_bytes} > {budget} bytes"),
+        );
+        gate.fail_if(!are.is_finite(), format_args!("{name} ARE is not finite"));
+        if kind == FilterKind::Regulator {
+            gate.fail_if(are > 0.35, format_args!("regulator ARE {are:.4} above 0.35"));
+            gate.fail_if(
+                ips_reduction < 0.5,
+                format_args!("regulator ips reduction {ips_reduction:.4} below 0.5"),
+            );
         }
     }
-    let reg = rows.iter().find(|r| r.kind == FilterKind::Regulator).expect("regulator row");
-    if reg.are_top1000 > 0.35 {
-        regressions.push(format!("regulator ARE {:.4} above 0.35", reg.are_top1000));
-    }
-    if reg.ips_reduction < 0.5 {
-        regressions.push(format!("regulator ips reduction {:.4} below 0.5", reg.ips_reduction));
-    }
-
-    let json_rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"kind\": \"{}\", \"memory_bytes\": {}, \"mpps\": {:.4}, \
-                 \"are_top1000\": {:.6}, \"ips_reduction\": {:.6}}}",
-                r.kind.name(),
-                r.memory_bytes,
-                r.mpps,
-                r.are_top1000,
-                r.ips_reduction
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"shootout\",\n  \"smoke\": {smoke},\n  \"packets\": {},\n  \
-         \"flows\": {},\n  \"ranked_flows\": {},\n  \"budget_bytes\": {budget},\n  \
-         \"filters\": [\n{}\n  ]\n}}\n",
-        trace.records.len(),
-        trace.stats.flows,
-        top.len(),
-        json_rows.join(",\n")
-    );
-    let path = std::env::var("INSTAMEASURE_BENCH_JSON")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_shootout.json", env!("CARGO_MANIFEST_DIR")));
-    std::fs::write(&path, json).expect("write BENCH_shootout.json");
-    println!("shootout: wrote {path}");
-
-    for r in &regressions {
-        println!("SHOOTOUT-REGRESSION: {r}");
-    }
-    if regressions.is_empty() {
-        println!("shootout: all sanity gates passed");
-    }
+    harness::record("shootout")
+        .with("packets", trace.records.len())
+        .with("flows", trace.stats.flows)
+        .with("ranked_flows", top.len())
+        .with("budget_bytes", budget)
+        .with("filters", rows)
+        .write("shootout");
 }

@@ -17,6 +17,10 @@
 //! [`main_entry`]. `run_all` executes every figure in sequence (as
 //! `cargo run -rp instameasure-bench --bin run_all`) and merges the
 //! snapshots, prefixing each by its section name.
+//!
+//! The `cargo bench` targets share [`harness`]: one best-of-N timer, one
+//! provenance-stamped `BENCH_*.json` writer and one regression-gate
+//! printer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,6 +28,7 @@
 pub use instameasure_telemetry::{Instrumented, Snapshot};
 
 pub mod figs;
+pub mod harness;
 
 /// Common command-line arguments of the figure binaries.
 #[derive(Debug, Clone, PartialEq)]

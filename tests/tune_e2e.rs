@@ -9,13 +9,16 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use instameasure::autotune::{
-    measured_epsilon, replay, solve, zipf_sizes, MachineProfile, TuneRequest,
+    measured_epsilon, replay, solve, zipf_sizes, LatencyPoint, MachineProfile, TuneRequest,
 };
 use instameasure::core::InstaMeasureConfig;
+use instameasure::memmodel::MemoryTechnology;
 use instameasure::packet::{FlowKey, PacketRecord, Protocol};
 use instameasure::service::server::{Server, ServiceConfig};
 use instameasure::service::tune::TuneState;
 use instameasure::service::{ClientError, DetectionConfig, ServiceClient};
+use instameasure::sketch::analysis::expected_regulation_rate;
+use instameasure::traffic::presets::caida_like;
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
@@ -84,6 +87,36 @@ fn materialized_plans_regulate_as_predicted_at_each_depth() {
             (0.85..=1.15).contains(&ratio),
             "depth {depth}: measured regulation {:.5} vs predicted {:.5} (ratio {ratio:.3}): {plan}",
             stats.regulation_rate(),
+            plan.predicted_regulation
+        );
+    }
+}
+
+/// The solver prices a plan at the analytic model's regulation rate for
+/// that plan's geometry, at every depth it emits. The workload is the
+/// deployment planner's CAIDA-like sample, planned for its 1 GbE row
+/// (depth 1) and its 100 GbE row (depth 2) on a one-point DRAM profile.
+#[test]
+fn predicted_regulation_is_the_analytic_rate_at_each_depth() {
+    let sizes: Vec<u64> = caida_like(0.02, 7).stats.truth.packets.values().copied().collect();
+    let paper = MachineProfile::paper();
+    let dram = MachineProfile::from_parts(
+        vec![LatencyPoint { bytes: 1, nanos: MemoryTechnology::Dram.access_nanos() }],
+        paper.hash_ns(),
+        paper.seq_ns(),
+        0,
+        false,
+    )
+    .expect("a one-point profile is valid");
+    for (pps, depth) in [(1.488e6, 1), (148.8e6, 2)] {
+        let plan = solve(&dram, &TuneRequest::throughput(pps, 3.0), &sizes).expect("row solves");
+        assert_eq!(plan.layers, depth, "{plan}");
+        let cfg = plan.to_config(0).expect("plan materializes").sketch;
+        let exact = expected_regulation_rate(&cfg, &sizes, plan.layers);
+        let rel = (plan.predicted_regulation - exact).abs() / exact;
+        assert!(
+            rel <= 1e-5,
+            "depth {depth}: predicted {:.6} vs analytic {exact:.6} (rel {rel:.2e}): {plan}",
             plan.predicted_regulation
         );
     }
