@@ -28,19 +28,21 @@
 //!   relaxed atomic load, not a lock.
 //! * **Backpressure is a lane policy.** A full ring stalls the pusher of a
 //!   blocking lane ([`Engine::lane`], counted in
-//!   `service.ring.full_stalls`): it yields, then sleeps in short steps so
-//!   a stalled pusher does not take the CPU from the worker it waits for.
-//!   That is the backpressure that ultimately closes the remote tap's TCP
-//!   window. A shedding lane, which [`crate::multicore`] opens for
-//!   [`crate::multicore::BackpressurePolicy::Drop`], drops the whole batch
+//!   `service.ring.full_stalls`): it parks until the worker's pops leave
+//!   the ring at most half full or the ring closes, so a stalled pusher
+//!   takes no CPU from the worker it waits for and resumes with room for
+//!   a burst. That is the backpressure that ultimately closes the remote
+//!   tap's TCP window. A shedding lane, which [`crate::multicore`] opens
+//!   for [`crate::multicore::BackpressurePolicy::Drop`], drops the whole batch
 //!   instead and counts its packets against the shard, as an overrun
 //!   mirror port loses a burst (§IV-B): per shard,
 //!   `processed + shed == offered`.
 //! * **Queries through the control mailbox.** Nothing copies a shard to
 //!   answer a query. A query posts a job carrying a one-shot reply
-//!   channel to the owning worker's control mailbox; the worker runs it
-//!   on its live state at the next batch boundary, so an answer covers
-//!   every packet processed before the call. Epoch rotations travel the
+//!   channel to the owning worker's control mailbox; the worker checks
+//!   the mailbox after every batch and runs the job on its live state,
+//!   so an answer covers every packet processed before the call and
+//!   waits for at most the batch in progress. Epoch rotations travel the
 //!   same mailbox and ship each shard's [`EpochFeatures`]. Multi-shard
 //!   requests (top-k, telemetry, rotation) are posted to every shard
 //!   under one engine-wide lock, so all shards queue them in one order
@@ -58,10 +60,10 @@
 //!   abruptly closed connection loses nothing that was decoded. `drain`
 //!   is idempotent; concurrent calls all return the first report.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread;
+use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 use instameasure_packet::{FlowKey, PacketRecord};
@@ -75,17 +77,18 @@ use crate::multicore::{worker_for, MAX_BATCH_SIZE};
 use crate::ring::{ring, PushError, RingConsumer, RingProducer};
 use crate::{InstaMeasure, InstaMeasureConfig};
 
-/// Batches a worker drains from one lane before giving others a turn.
+/// Batches a worker drains from one lane before giving others a turn
+/// (fairness between lanes; queued jobs run after every batch).
 const DRAIN_QUANTUM: usize = 8;
-/// Yields before a waiting thread blocks: an idle worker then parks on its
-/// condvar, a lane at a full ring sleeps.
+/// Yields before an idle worker parks on its condvar.
 const SPIN_ROUNDS: u32 = 64;
 /// Parked workers re-check their flags at least this often, so a lost
 /// wakeup costs bounded latency, never liveness.
 const PARK_TIMEOUT: Duration = Duration::from_micros(200);
-/// How long a blocking lane sleeps per retry once a full ring has
-/// outlasted its spin rounds.
-const STALL_SLEEP: Duration = Duration::from_micros(50);
+/// Deadline of one park of a blocking lane at a full ring. The worker's
+/// pops or the ring's close wake it long before; the deadline bounds the
+/// wait on a worker that died.
+const ROOM_PARK_DEADLINE: Duration = Duration::from_millis(100);
 
 /// Geometry of the live engine.
 #[derive(Debug, Clone, Copy)]
@@ -212,12 +215,67 @@ fn answers<R>(replies: Vec<Receiver<R>>) -> impl Iterator<Item = R> {
 struct LaneRings {
     fwd: RingConsumer<Vec<PacketRecord>>,
     ret: RingProducer<Vec<PacketRecord>>,
+    room: Arc<Room>,
+}
+
+impl LaneRings {
+    /// Pops the next batch, waking a producer parked at the forward ring
+    /// once the pops leave it at most half full.
+    fn pop(&mut self) -> Option<Vec<PacketRecord>> {
+        let batch = self.fwd.pop()?;
+        if self.fwd.len() <= self.fwd.capacity() / 2 {
+            self.room.wake();
+        }
+        Some(batch)
+    }
 }
 
 /// Lane-side endpoints of one lane's ring pair.
 struct LanePort {
     fwd: RingProducer<Vec<PacketRecord>>,
     ret: RingConsumer<Vec<PacketRecord>>,
+    room: Arc<Room>,
+}
+
+/// Where a blocking lane's producer waits for room in a full forward
+/// ring. Each side stores, fences, then loads: the producer raises
+/// `parked` and re-reads the ring, the worker pops (or closes) and reads
+/// `parked`. The two `SeqCst` fences forbid both loads missing the other
+/// side's store, so a producer that parks is seen by the worker's next
+/// pop or close, and a worker that missed the flag left room the
+/// producer sees. Raising `parked` is a `Release` store that the worker's
+/// `Acquire` load pairs with, so a worker that sees the flag also sees
+/// the thread handle stored before it.
+#[derive(Default)]
+struct Room {
+    parked: AtomicBool,
+    producer: Mutex<Option<Thread>>,
+}
+
+impl Room {
+    /// Parks the calling producer until the worker wakes it or
+    /// [`ROOM_PARK_DEADLINE`] passes, unless `has_room` holds once the
+    /// flag is up.
+    fn park_unless(&self, has_room: impl FnOnce() -> bool) {
+        *lock(&self.producer) = Some(thread::current());
+        self.parked.store(true, Ordering::Release);
+        fence(Ordering::SeqCst);
+        if !has_room() {
+            thread::park_timeout(ROOM_PARK_DEADLINE);
+        }
+        self.parked.store(false, Ordering::Relaxed);
+    }
+
+    /// Worker side, after a pop or a close: wakes the producer if it is
+    /// parked.
+    fn wake(&self) {
+        fence(Ordering::SeqCst);
+        if self.parked.load(Ordering::Acquire) && self.parked.swap(false, Ordering::AcqRel) {
+            if let Some(producer) = &*lock(&self.producer) {
+                producer.unpark();
+            }
+        }
+    }
 }
 
 /// What one epoch rotation produced.
@@ -472,8 +530,9 @@ impl Engine {
             let (fwd_tx, fwd_rx) = ring::<Vec<PacketRecord>>(self.queue_batches);
             // The return ring holds every buffer that can be in flight.
             let (ret_tx, ret_rx) = ring::<Vec<PacketRecord>>(self.queue_batches + 2);
-            ports.push(LanePort { fwd: fwd_tx, ret: ret_rx });
-            endpoints.push(LaneRings { fwd: fwd_rx, ret: ret_tx });
+            let room = Arc::new(Room::default());
+            ports.push(LanePort { fwd: fwd_tx, ret: ret_rx, room: Arc::clone(&room) });
+            endpoints.push(LaneRings { fwd: fwd_rx, ret: ret_tx, room });
         }
         for (shard, ep) in self.shards.iter().zip(endpoints) {
             let mut mb = lock(&shard.mailbox);
@@ -795,30 +854,21 @@ fn worker_loop(ctx: &WorkerCtx) -> WorkerExit {
         }
 
         // Drain a bounded quantum per lane (fairness across connections),
-        // then reap lanes whose producer side is gone.
+        // running queued jobs after every batch, then reap lanes whose
+        // producer side is gone.
         lanes.retain_mut(|lane| {
             for _ in 0..DRAIN_QUANTUM {
-                match lane.fwd.pop() {
-                    Some(batch) => {
-                        busy = true;
-                        process_one(shard, &mut state.im, &batch, &mut processed, &ctx.packets_ctr);
-                        recycle(lane, batch);
-                    }
-                    None => break,
-                }
+                let Some(batch) = lane.pop() else { break };
+                busy = true;
+                process_one(shard, &mut state.im, &batch, &mut processed, &ctx.packets_ctr);
+                recycle(lane, batch);
+                run_jobs(shard, &mut state);
             }
             !(lane.fwd.producer_closed() && lane.fwd.is_drained())
         });
 
-        // Queries and rotations land at batch boundaries, in the order
-        // they were posted.
-        if shard.control_flag.swap(false, Ordering::AcqRel) {
-            busy = true;
-            let jobs = lock(&shard.control).as_mut().map(std::mem::take).unwrap_or_default();
-            for job in jobs {
-                job(shard, &mut state);
-            }
-        }
+        // Jobs posted while no batch was in flight.
+        busy |= run_jobs(shard, &mut state);
 
         if busy {
             idle_rounds = 0;
@@ -845,6 +895,20 @@ fn worker_loop(ctx: &WorkerCtx) -> WorkerExit {
             park(shard);
         }
     }
+}
+
+/// Runs the jobs queued in the control mailbox, in the order they were
+/// posted; false if none were flagged. One atomic swap when there are
+/// none, so the worker checks after every batch.
+fn run_jobs(shard: &Shard, state: &mut ShardState) -> bool {
+    if !shard.control_flag.swap(false, Ordering::AcqRel) {
+        return false;
+    }
+    let jobs = lock(&shard.control).as_mut().map(std::mem::take).unwrap_or_default();
+    for job in jobs {
+        job(shard, state);
+    }
+    true
 }
 
 /// Applies one batch to the worker's private state and maintains the
@@ -896,13 +960,16 @@ fn final_sweep(
     };
     lanes.extend(stragglers);
     for lane in lanes.iter_mut() {
-        while let Some(batch) = lane.fwd.pop() {
+        while let Some(batch) = lane.pop() {
             process_one(shard, im, &batch, processed, packets_ctr);
             recycle(lane, batch);
         }
         lane.fwd.close();
+        // A producer parked at the full ring learns of the close now,
+        // not at its park deadline.
+        lane.room.wake();
         // The close bound admits at most the one racing push; drain it.
-        while let Some(batch) = lane.fwd.pop() {
+        while let Some(batch) = lane.pop() {
             process_one(shard, im, &batch, processed, packets_ctr);
             recycle(lane, batch);
         }
@@ -955,9 +1022,9 @@ pub struct IngestLane {
 
 impl IngestLane {
     /// Routes a decoded batch into the per-shard buffers, shipping every
-    /// buffer that fills. When a shard ring is full, a blocking lane spins
-    /// (with yields) — that is the backpressure propagating to the socket
-    /// — and a shedding lane drops the batch.
+    /// buffer that fills. When a shard ring is full, a blocking lane parks
+    /// until the worker makes room — that is the backpressure propagating
+    /// to the socket — and a shedding lane drops the batch.
     ///
     /// # Errors
     ///
@@ -1037,7 +1104,7 @@ impl IngestLane {
         let full = std::mem::take(&mut self.pending[w]);
         let n = full.len() as u64;
         let mut item = full;
-        let mut stalls = 0u32;
+        let mut stalled = false;
         loop {
             match self.ports[w].fwd.push(item) {
                 Ok(()) => {
@@ -1060,16 +1127,13 @@ impl IngestLane {
                     return Ok(());
                 }
                 Err(PushError::Full(back)) => {
-                    if stalls == 0 {
+                    if !stalled {
                         self.ring_stalls.inc();
+                        stalled = true;
                     }
-                    stalls += 1;
                     wake(&self.shards[w]);
-                    if stalls < SPIN_ROUNDS {
-                        thread::yield_now();
-                    } else {
-                        thread::sleep(STALL_SLEEP);
-                    }
+                    let port = &self.ports[w];
+                    port.room.park_unless(|| port.fwd.has_room());
                     item = back;
                 }
                 Err(PushError::Closed(back)) => {
@@ -1397,6 +1461,84 @@ mod tests {
                 shed[w]
             );
         }
+    }
+
+    #[test]
+    fn a_query_waits_for_at_most_the_batch_in_progress() {
+        // One shard, its ring kept full by a pusher, its worker dawdling
+        // 5 ms per batch. Batches are counted, not timed: each answer may
+        // see the batch in progress land, and one more that lands before
+        // the caller reads the counter, but not a lane's whole quantum.
+        let engine = Arc::new(test_engine(1));
+        engine.debug_set_worker_stall(5_000_000);
+        let e2 = Arc::clone(&engine);
+        let pusher = thread::spawn(move || {
+            let mut lane = e2.lane().unwrap();
+            lane.submit(&records(64 * 64, 16)).unwrap();
+            lane.flush().unwrap();
+        });
+        while engine.packets_submitted() < 4 * 64 {
+            thread::yield_now();
+        }
+        for _ in 0..10 {
+            let before = engine.packets_processed();
+            let _ = engine.estimate(&key(3));
+            let batches = (engine.packets_processed() - before) / 64;
+            assert!(batches <= 2, "{batches} batches were processed before the answer");
+        }
+        engine.debug_set_worker_stall(0);
+        pusher.join().unwrap();
+        let report = engine.drain();
+        assert_eq!((report.submitted, report.processed), (64 * 64, 64 * 64));
+    }
+
+    #[test]
+    fn a_lane_parked_at_a_full_ring_resumes_and_ends_packet_exact() {
+        let engine = test_engine(2);
+        // 0.2 ms per batch: the lane fills the 4-batch rings at once and
+        // then waits on the workers for every batch after.
+        engine.debug_set_worker_stall(200_000);
+        let started = Instant::now();
+        let mut lane = engine.lane().unwrap();
+        lane.submit(&records(20_000, 64)).unwrap();
+        lane.flush().unwrap();
+        drop(lane);
+        // ~160 batches per shard at ~0.25 ms each. A lane woken only by
+        // its park deadline would take that deadline per refill instead.
+        assert!(started.elapsed() < 20 * ROOM_PARK_DEADLINE, "took {:?}", started.elapsed());
+        let snap = engine.full_telemetry();
+        assert!(
+            snap.counter("service.ring.full_stalls").unwrap_or(0) > 0,
+            "the lane never stalled"
+        );
+        let report = engine.drain();
+        assert_eq!((report.submitted, report.processed), (20_000, 20_000));
+    }
+
+    #[test]
+    fn drain_racing_a_parked_producer_returns_before_the_park_deadline() {
+        let engine = Arc::new(test_engine(1));
+        engine.debug_set_worker_stall(2_000_000);
+        let e2 = Arc::clone(&engine);
+        let producer = thread::spawn(move || {
+            let mut lane = e2.lane().unwrap();
+            // ~2 s of batches at the stalled worker's pace: the drain
+            // lands mid-submit.
+            lane.submit(&records(64 * 1000, 16))
+        });
+        // The ring holds 4 batches; past that the producer is parked.
+        while engine.packets_submitted() < 5 * 64 {
+            thread::yield_now();
+        }
+        let started = Instant::now();
+        engine.debug_set_worker_stall(0);
+        let report = engine.drain();
+        let submitted = producer.join().unwrap();
+        let waited = started.elapsed();
+        assert_eq!(submitted, Err(EngineClosed), "the drain closes the lane mid-submit");
+        assert!(waited < ROOM_PARK_DEADLINE / 2, "drain and producer took {waited:?}");
+        assert_eq!(report.processed, report.submitted);
+        assert_eq!(engine.packets_submitted(), engine.packets_processed());
     }
 
     #[test]

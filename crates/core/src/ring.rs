@@ -242,6 +242,16 @@ impl<T> RingProducer<T> {
         self.tail.wrapping_sub(self.inner.head.0.load(Ordering::Relaxed))
     }
 
+    /// Whether a push would not come back [`PushError::Full`]: a slot is
+    /// free or the consumer closed the ring (racy by nature; a producer
+    /// about to park re-checks with it).
+    #[must_use]
+    pub(crate) fn has_room(&self) -> bool {
+        let inner = &*self.inner;
+        inner.consumer_closed.load(Ordering::SeqCst)
+            || self.tail.wrapping_sub(inner.head.0.load(Ordering::Acquire)) <= inner.mask
+    }
+
     /// Whether the ring is currently empty (racy by nature).
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -280,6 +290,19 @@ impl<T> RingConsumer<T> {
         self.head = self.head.wrapping_add(1);
         inner.head.0.store(self.head, Ordering::Release);
         Some(item)
+    }
+
+    /// Items currently enqueued, as the consumer sees them (racy by
+    /// nature: the producer may publish more at any time).
+    #[must_use]
+    pub(crate) fn len(&self) -> usize {
+        self.inner.tail.0.load(Ordering::Acquire).wrapping_sub(self.head)
+    }
+
+    /// Slot capacity of the ring.
+    #[must_use]
+    pub(crate) fn capacity(&self) -> usize {
+        self.inner.mask + 1
     }
 
     /// Whether the producing side was dropped (no more items will come).
@@ -353,6 +376,24 @@ mod tests {
         // Freed slots are reusable.
         tx.push(7).unwrap();
         assert_eq!(rx.pop(), Some(7));
+    }
+
+    #[test]
+    fn both_sides_see_the_occupancy_and_a_close_makes_room() {
+        let (mut tx, mut rx) = ring::<u8>(4);
+        assert_eq!(rx.capacity(), 4);
+        for i in 0..4 {
+            assert!(tx.has_room());
+            tx.push(i).unwrap();
+            assert_eq!(rx.len(), usize::from(i) + 1);
+        }
+        assert!(!tx.has_room(), "a full ring has no room");
+        assert_eq!(rx.pop(), Some(0));
+        assert_eq!((rx.len(), tx.len()), (3, 3));
+        assert!(tx.has_room());
+        tx.push(4).unwrap();
+        rx.close();
+        assert!(tx.has_room(), "a closed ring takes no push, so nothing waits for room");
     }
 
     #[test]

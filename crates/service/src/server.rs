@@ -24,11 +24,22 @@
 //!   peer connections to finish (bounded by
 //!   [`ServiceConfig::drain_grace`]), drains the engine, and only then
 //!   acks with the final packet-exact [`StatusReport`].
+//!
+//! No daemon wait polls. The accept thread blocks in `accept`.
+//! Stopping (the `Shutdown` frame or [`Server::request_stop`]) wakes each
+//! wait with its own event: the accept thread with one loopback connect
+//! to the bound port, each connection reader by shutting its socket's
+//! read side (the reader sees end of stream, answers `draining` and
+//! closes), and the shutdown grace, [`Server::join`] and the epoch clock
+//! through one condition variable over the live connections, which every
+//! connection close also signals. Each of those three waits has a
+//! deadline: the drain grace for the first two, the next epoch for the
+//! clock.
 
 use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -293,6 +304,21 @@ impl ServiceConfig {
     }
 }
 
+/// The refusal every connection gets once the daemon is stopping.
+const CLOSED: &str = "daemon is shutting down; ingest is closed";
+/// Pause after a failed `accept` (out of descriptors, say), so a
+/// persistent error does not spin the accept thread.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+/// Deadline of the loopback connect that wakes the accept thread.
+const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// The live connections, each with the handle stop wakes its reader by.
+#[derive(Default)]
+struct Conns {
+    next_id: u64,
+    live: Vec<(u64, TcpStream)>,
+}
+
 /// Shared per-server state each handler thread clones.
 struct Shared {
     engine: Arc<Engine>,
@@ -300,9 +326,14 @@ struct Shared {
     tune: Option<Arc<TuneRuntime>>,
     registry: Arc<SharedRegistry>,
     stop: AtomicBool,
-    active: AtomicUsize,
+    conns: Mutex<Conns>,
+    /// Signalled by every connection close and by stop.
+    conns_changed: Condvar,
+    /// Where stop connects to wake the blocked accept.
+    wake_addr: SocketAddr,
     final_report: Mutex<Option<StatusReport>>,
     cfg: ServiceConfig,
+    accept_errors: Counter<AtomicCell>,
     conns_opened: Counter<AtomicCell>,
     conns_closed: Counter<AtomicCell>,
     frames_ingest: Counter<AtomicCell>,
@@ -335,6 +366,65 @@ impl Shared {
         self.rejects.inc();
         self.registry.counter(&format!("service.rejects.{class}")).inc();
     }
+
+    /// Latches the stop flag and wakes every wait that ends on it: each
+    /// connection reader (its socket's read side shuts, so an idle reader
+    /// sees end of stream and a busy one does after its current frame),
+    /// the waits on `conns_changed`, and the blocked accept (one loopback
+    /// connect). Later calls do nothing.
+    fn stop(&self) {
+        if self.stop.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        {
+            // Under the lock: a connection admitted after this sees the
+            // flag and is refused instead.
+            let conns = lock(&self.conns);
+            for (_, stream) in &conns.live {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
+            self.conns_changed.notify_all();
+        }
+        let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_CONNECT_TIMEOUT);
+    }
+
+    /// Blocks until `done` holds or `deadline` passes. `done` is checked
+    /// under the connection lock, so a close or a stop that makes it true
+    /// cannot slip past the wait.
+    fn wait_until(&self, deadline: Instant, done: impl Fn(&Conns) -> bool) {
+        let mut conns = lock(&self.conns);
+        while !done(&conns) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return;
+            }
+            conns = self
+                .conns_changed
+                .wait_timeout(conns, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+    }
+
+    /// Forgets a finished connection and signals the waits on the count.
+    fn close(&self, id: u64) {
+        let mut conns = lock(&self.conns);
+        conns.live.retain(|(c, _)| *c != id);
+        self.conns_changed.notify_all();
+        drop(conns);
+        self.conns_closed.inc();
+    }
+}
+
+/// The address stop connects to: the bound one, or loopback of its
+/// family when it is unspecified.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
 }
 
 /// A running daemon. Dropping the handle does **not** stop the server;
@@ -377,13 +467,13 @@ impl Server {
             Arc::new(runtime)
         });
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let shared = Arc::new(Shared {
             engine,
             detection,
             tune,
+            accept_errors: registry.counter("service.accept_errors"),
             conns_opened: registry.counter("service.connections.opened"),
             conns_closed: registry.counter("service.connections.closed"),
             frames_ingest: registry.counter("service.frames.ingest"),
@@ -395,7 +485,9 @@ impl Server {
             query_nanos: registry.histogram("service.query_nanos"),
             registry,
             stop: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
+            conns: Mutex::new(Conns::default()),
+            conns_changed: Condvar::new(),
+            wake_addr: wake_addr(addr),
             final_report: Mutex::new(None),
             cfg,
         });
@@ -465,12 +557,14 @@ impl Server {
     /// Requests a local shutdown (equivalent to receiving a
     /// [`Request::Shutdown`] frame, minus the reply).
     pub fn request_stop(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.stop();
     }
 
     /// Waits for shutdown to complete and returns the final packet-exact
     /// accounting. Blocks until a shutdown is requested via the protocol
-    /// or [`Server::request_stop`].
+    /// or [`Server::request_stop`], then waits for the connection
+    /// handlers (stop woke each of them; the wait is bounded by
+    /// [`ServiceConfig::drain_grace`]) and drains the engine.
     pub fn join(mut self) -> StatusReport {
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
@@ -478,11 +572,8 @@ impl Server {
         if let Some(h) = self.detect_handle.take() {
             let _ = h.join();
         }
-        // Wait for handler threads to finish (each is bounded by the
-        // read timeout once stop is set).
-        while self.shared.active.load(Ordering::SeqCst) > 0 {
-            thread::sleep(Duration::from_millis(2));
-        }
+        let deadline = Instant::now() + self.shared.cfg.drain_grace;
+        self.shared.wait_until(deadline, |conns| conns.live.is_empty());
         self.shared.engine.drain();
         let mut report = lock(&self.shared.final_report);
         *report.get_or_insert_with(|| self.shared.status())
@@ -490,64 +581,83 @@ impl Server {
 }
 
 /// The periodic epoch clock: closes and evaluates an epoch every
-/// `every`, checking the stop flag at a finer grain so shutdown is not
-/// delayed by a long interval.
-fn detect_loop(runtime: &Arc<DetectionRuntime>, shared: &Arc<Shared>, every: Duration) {
-    let tick = Duration::from_millis(2).min(every);
+/// `every`. Between epochs it sleeps on the connection condvar until the
+/// next epoch is due, so stop ends the wait at once.
+fn detect_loop(runtime: &DetectionRuntime, shared: &Shared, every: Duration) {
     let mut next = Instant::now() + every;
-    while !shared.stop.load(Ordering::SeqCst) {
-        let now = Instant::now();
-        if now < next {
-            thread::sleep(tick.min(next - now));
-            continue;
+    loop {
+        shared.wait_until(next, |_| shared.stop.load(Ordering::SeqCst));
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
         }
         let _ = runtime.run_epoch();
         next += every;
     }
 }
 
+/// Blocks in `accept` until a client or stop's wake-up connection
+/// arrives. Failed accepts are counted (`service.accept_errors`) and
+/// backed off.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // Alert pushes and query acks are small frames written
-                // back-to-back; Nagle + delayed ACK would park the
-                // second one for ~40 ms, blowing the detection budget.
-                let _ = stream.set_nodelay(true);
-                if shared.active.load(Ordering::SeqCst) >= shared.cfg.max_connections {
-                    shared.count_reject("busy");
-                    refuse(stream, shared);
-                    continue;
-                }
-                shared.active.fetch_add(1, Ordering::SeqCst);
-                shared.conns_opened.inc();
-                let conn_shared = Arc::clone(shared);
-                let spawned = thread::Builder::new().name("im-conn".to_string()).spawn(move || {
-                    handle_connection(stream, &conn_shared);
-                    conn_shared.active.fetch_sub(1, Ordering::SeqCst);
-                    conn_shared.conns_closed.inc();
-                });
-                if spawned.is_err() {
-                    shared.active.fetch_sub(1, Ordering::SeqCst);
-                    shared.count_reject("spawn");
-                }
+    loop {
+        let accepted = listener.accept();
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok((stream, _peer)) => admit(stream, shared),
+            Err(_) => {
+                shared.accept_errors.inc();
+                thread::sleep(ACCEPT_BACKOFF);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(10)),
         }
     }
 }
 
-/// Best-effort error reply to a connection refused at the accept stage.
-fn refuse(mut stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_nonblocking(false);
-    let reply = Response::Error {
-        class: "busy".to_string(),
-        message: format!("connection limit {} reached", shared.cfg.max_connections),
+/// Registers an accepted connection and spawns its handler, or refuses
+/// it when the daemon is full or stopping.
+fn admit(stream: TcpStream, shared: &Arc<Shared>) {
+    // Alert pushes and query acks are small frames written back-to-back;
+    // Nagle + delayed ACK would park the second one for ~40 ms, blowing
+    // the detection budget.
+    let _ = stream.set_nodelay(true);
+    let Ok(handle) = stream.try_clone() else {
+        shared.count_reject("io");
+        return;
     };
-    let frame = reply.encode();
+    let id = {
+        let mut conns = lock(&shared.conns);
+        if shared.stop.load(Ordering::SeqCst) {
+            drop(conns);
+            return refuse(stream, shared, "draining", CLOSED.to_string());
+        }
+        if conns.live.len() >= shared.cfg.max_connections {
+            drop(conns);
+            let message = format!("connection limit {} reached", shared.cfg.max_connections);
+            return refuse(stream, shared, "busy", message);
+        }
+        let id = conns.next_id;
+        conns.next_id += 1;
+        conns.live.push((id, handle));
+        id
+    };
+    shared.conns_opened.inc();
+    let conn_shared = Arc::clone(shared);
+    let spawned = thread::Builder::new().name("im-conn".to_string()).spawn(move || {
+        handle_connection(stream, &conn_shared);
+        conn_shared.close(id);
+    });
+    if spawned.is_err() {
+        shared.close(id);
+        shared.count_reject("spawn");
+    }
+}
+
+/// Counts a connection refused at the accept stage and sends it a
+/// best-effort error reply.
+fn refuse(mut stream: TcpStream, shared: &Shared, class: &str, message: String) {
+    shared.count_reject(class);
+    let frame = Response::Error { class: class.to_string(), message }.encode();
     let _ = write_frame(&mut stream, frame.opcode, &frame.payload);
 }
 
@@ -572,10 +682,7 @@ fn is_timeout(e: &std::io::Error) -> bool {
 }
 
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    // Accepted sockets must not inherit the listener's non-blocking mode.
-    if stream.set_nonblocking(false).is_err()
-        || stream.set_read_timeout(Some(shared.cfg.read_timeout)).is_err()
-    {
+    if stream.set_read_timeout(Some(shared.cfg.read_timeout)).is_err() {
         shared.count_reject("io");
         return;
     }
@@ -594,24 +701,26 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     loop {
         let max = shared.cfg.max_frame_bytes;
         let (opcode, len) = match read_frame_into(&mut reader, max, &mut frame_buf) {
-            Ok(None) => break, // clean disconnect at a frame boundary
             Ok(Some((opcode, len))) => {
                 shared.bytes_rx.add(frame_wire_len(len));
                 (opcode, len)
             }
+            // Stop shut the read side: the reader woke at end of stream
+            // (or mid-frame) and answers as a frame read after stop does.
+            _ if shared.stop.load(Ordering::SeqCst) => {
+                refuse_draining(&writer, shared, CLOSED.to_string());
+                break;
+            }
+            Ok(None) => break, // clean disconnect at a frame boundary
             Err(WireError::Io(e)) if is_timeout(&e) => {
                 // An alert subscriber is *supposed* to sit quietly and
                 // listen, so the idle cutoff does not apply to it; a
                 // dead one is reaped by the hub when a broadcast write
-                // fails. Other idle peers: if the server is draining
-                // this is the normal way a quiet connection ends;
-                // otherwise count and cut it.
-                if sub_id.is_some() && !shared.stop.load(Ordering::SeqCst) {
+                // fails. Other idle peers are counted and cut.
+                if sub_id.is_some() {
                     continue;
                 }
-                if !shared.stop.load(Ordering::SeqCst) {
-                    shared.timeouts.inc();
-                }
+                shared.timeouts.inc();
                 break;
             }
             Err(e) => {
@@ -743,13 +852,11 @@ fn dispatch(
             send(writer, shared, &Response::Subscribed { epoch: shared.engine.epoch(), kinds })
         }
         Request::Shutdown => {
-            shared.stop.store(true, Ordering::SeqCst);
-            // Wait (bounded) for the other connections to finish so the
-            // drain below sees every lane closed.
+            shared.stop();
+            // Wait (bounded) for the other connections, each woken by the
+            // stop, to finish so the drain below sees every lane closed.
             let deadline = Instant::now() + shared.cfg.drain_grace;
-            while shared.active.load(Ordering::SeqCst) > 1 && Instant::now() < deadline {
-                thread::sleep(Duration::from_millis(2));
-            }
+            shared.wait_until(deadline, |conns| conns.live.len() <= 1);
             shared.engine.drain();
             let status = shared.status();
             *lock(&shared.final_report) = Some(status);
@@ -767,7 +874,6 @@ fn ingest(
     lane: &mut Option<IngestLane>,
     shared: &Arc<Shared>,
 ) -> bool {
-    const CLOSED: &str = "daemon is shutting down; ingest is closed";
     shared.frames_ingest.inc();
     if shared.stop.load(Ordering::SeqCst) {
         return refuse_draining(writer, shared, CLOSED.to_string());

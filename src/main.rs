@@ -762,6 +762,12 @@ fn watch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 println!("daemon closed the connection");
                 return Ok(());
             }
+            // A stopping daemon tells each connection it is draining,
+            // then closes it.
+            Err(ClientError::Remote { class, .. }) if class == "draining" => {
+                println!("daemon closed the connection (shutting down)");
+                return Ok(());
+            }
             Err(e) => return Err(e.into()),
         }
     }
