@@ -82,9 +82,10 @@ use crate::{InstaMeasure, InstaMeasureConfig};
 const DRAIN_QUANTUM: usize = 8;
 /// Yields before an idle worker parks on its condvar.
 const SPIN_ROUNDS: u32 = 64;
-/// Parked workers re-check their flags at least this often, so a lost
-/// wakeup costs bounded latency, never liveness.
-const PARK_TIMEOUT: Duration = Duration::from_micros(200);
+/// Deadline of an idle worker's park. Everything the worker acts on
+/// wakes it ([`park`]), so this is only a safety net; it is long enough
+/// that an idle daemon's workers do not wake on a timer.
+const IDLE_PARK_DEADLINE: Duration = Duration::from_secs(1);
 /// Deadline of one park of a blocking lane at a full ring. The worker's
 /// pops or the ring's close wake it long before; the deadline bounds the
 /// wait on a worker that died.
@@ -309,9 +310,9 @@ struct Shard {
     control: Mutex<Option<Vec<Job>>>,
     control_flag: AtomicBool,
     draining: AtomicBool,
-    /// Worker is (about to be) blocked on `wake_cv`; producers skip the
+    /// Worker is (about to be) blocked on `wake_cv`; wakers skip the
     /// notify entirely while this is false, keeping the hot path
-    /// lock-free.
+    /// lock-free. See [`park`] for the handshake.
     parked: AtomicBool,
     wake: Mutex<bool>,
     wake_cv: Condvar,
@@ -323,6 +324,22 @@ struct Shard {
 }
 
 impl Shard {
+    fn new() -> Shard {
+        Shard {
+            mailbox: Mutex::new(Vec::new()),
+            reg_gen: AtomicU64::new(0),
+            reg_closed: AtomicBool::new(false),
+            control: Mutex::new(Some(Vec::new())),
+            control_flag: AtomicBool::new(false),
+            draining: AtomicBool::new(false),
+            parked: AtomicBool::new(false),
+            wake: Mutex::new(false),
+            wake_cv: Condvar::new(),
+            flows_resident: AtomicU64::new(0),
+            worker_stall: AtomicU64::new(0),
+        }
+    }
+
     /// Queues `job` for the worker's next batch boundary, or hands it
     /// back if the final sweep has closed the mailbox.
     fn post(&self, job: Job) -> Result<(), Job> {
@@ -350,8 +367,12 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Wakes a shard's worker if (and only if) it is parked.
+/// Wakes a shard's worker if (and only if) it is parked. Called after
+/// storing the event that should wake it (a shipped batch, a closed lane,
+/// a posted job, a new lane or the drain); the fence pairs with the one in
+/// [`park`].
 fn wake(shard: &Shard) {
+    fence(Ordering::SeqCst);
     if shard.parked.load(Ordering::Relaxed) {
         let mut pending = lock(&shard.wake);
         *pending = true;
@@ -424,23 +445,7 @@ impl Engine {
         );
         assert!(cfg.queue_batches > 0, "ring must hold at least one batch");
 
-        let shards: Vec<Arc<Shard>> = (0..cfg.workers)
-            .map(|_| {
-                Arc::new(Shard {
-                    mailbox: Mutex::new(Vec::new()),
-                    reg_gen: AtomicU64::new(0),
-                    reg_closed: AtomicBool::new(false),
-                    control: Mutex::new(Some(Vec::new())),
-                    control_flag: AtomicBool::new(false),
-                    draining: AtomicBool::new(false),
-                    parked: AtomicBool::new(false),
-                    wake: Mutex::new(false),
-                    wake_cv: Condvar::new(),
-                    flows_resident: AtomicU64::new(0),
-                    worker_stall: AtomicU64::new(0),
-                })
-            })
-            .collect();
+        let shards: Vec<Arc<Shard>> = (0..cfg.workers).map(|_| Arc::new(Shard::new())).collect();
 
         let submitted = registry.counter("service.ingest.packets");
         let batches = registry.counter("service.ingest.batches");
@@ -892,7 +897,7 @@ fn worker_loop(ctx: &WorkerCtx) -> WorkerExit {
         if idle_rounds < SPIN_ROUNDS {
             thread::yield_now();
         } else {
-            park(shard);
+            park(shard, &lanes, seen_gen);
         }
     }
 }
@@ -977,23 +982,33 @@ fn final_sweep(
     lanes.clear();
 }
 
-/// Parks the worker until a producer, control request or timeout wakes
-/// it. The `parked` flag keeps producers off the mutex while the worker
-/// runs; the timeout turns any lost wakeup into bounded latency.
-fn park(shard: &Shard) {
-    shard.parked.store(true, Ordering::SeqCst);
-    {
+/// Parks the worker until something it must act on arrives: a batch or a
+/// producer's close on one of its `lanes`, a job, a lane registered after
+/// `seen_gen`, or the drain. The worker raises `parked`, fences, then
+/// checks for each of them; every waker stores its event, fences, then
+/// reads `parked` ([`wake`]). The two `SeqCst` fences forbid both reads
+/// missing the other side's store, so either the worker sees the event
+/// and does not wait, or the waker sees the flag and notifies under the
+/// mutex the wait holds. [`IDLE_PARK_DEADLINE`] is only a safety net.
+fn park(shard: &Shard, lanes: &[LaneRings], seen_gen: u64) {
+    shard.parked.store(true, Ordering::Relaxed);
+    fence(Ordering::SeqCst);
+    let woken = shard.control_flag.load(Ordering::Relaxed)
+        || shard.reg_gen.load(Ordering::Relaxed) != seen_gen
+        || shard.draining.load(Ordering::Relaxed)
+        || lanes.iter().any(|lane| !lane.fwd.is_drained() || lane.fwd.producer_closed());
+    if !woken {
         let mut pending = lock(&shard.wake);
         if !*pending {
-            let (guard, _timeout) = shard
+            pending = shard
                 .wake_cv
-                .wait_timeout(pending, PARK_TIMEOUT)
-                .unwrap_or_else(PoisonError::into_inner);
-            pending = guard;
+                .wait_timeout(pending, IDLE_PARK_DEADLINE)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
         *pending = false;
     }
-    shard.parked.store(false, Ordering::SeqCst);
+    shard.parked.store(false, Ordering::Relaxed);
 }
 
 /// One connection's private ingest path: per-shard batch buffers plus the
@@ -1154,9 +1169,11 @@ impl IngestLane {
 impl Drop for IngestLane {
     /// Flush-on-drop: an abruptly closed connection still delivers every
     /// record that was decoded from complete frames. Dropping the ports
-    /// marks the rings producer-closed, so the worker reaps them.
+    /// marks the rings producer-closed, and the wake after it has each
+    /// worker reap them.
     fn drop(&mut self) {
         let _ = self.flush();
+        self.ports.clear();
         for shard in &self.shards {
             wake(shard);
         }
@@ -1539,6 +1556,78 @@ mod tests {
         assert!(waited < ROOM_PARK_DEADLINE / 2, "drain and producer took {waited:?}");
         assert_eq!(report.processed, report.submitted);
         assert_eq!(engine.packets_submitted(), engine.packets_processed());
+    }
+
+    #[test]
+    fn park_returns_at_once_for_an_event_stored_before_the_flag() {
+        // Each event is stored as its waker stores it, minus the notify:
+        // the waker read `parked` before the worker raised it.
+        let returns_at_once = |shard: &Shard, lanes: &[LaneRings]| {
+            let started = Instant::now();
+            park(shard, lanes, 0);
+            started.elapsed() < IDLE_PARK_DEADLINE / 2
+        };
+        let mut producers = Vec::new();
+        let mut lane = |batches: usize, producer_closed: bool| {
+            let (mut fwd_tx, fwd) = ring::<Vec<PacketRecord>>(4);
+            for _ in 0..batches {
+                fwd_tx.push(Vec::new()).unwrap();
+            }
+            if !producer_closed {
+                producers.push(fwd_tx);
+            }
+            LaneRings { fwd, ret: ring(4).0, room: Arc::default() }
+        };
+        let shard = Shard::new();
+        shard.control_flag.store(true, Ordering::Release);
+        assert!(returns_at_once(&shard, &[]), "a posted job");
+        let shard = Shard::new();
+        shard.reg_gen.store(1, Ordering::Release);
+        assert!(returns_at_once(&shard, &[]), "a new lane");
+        let shard = Shard::new();
+        shard.draining.store(true, Ordering::Release);
+        assert!(returns_at_once(&shard, &[]), "the drain");
+        assert!(returns_at_once(&Shard::new(), &[lane(0, false), lane(1, false)]), "a batch");
+        assert!(returns_at_once(&Shard::new(), &[lane(0, false), lane(0, true)]), "a close");
+    }
+
+    #[test]
+    fn every_batch_shipped_into_an_idle_engine_wakes_its_worker() {
+        // Odd rounds ship one batch once the worker has parked; even rounds
+        // ship it 0-60 us after the last batch was processed, across the
+        // worker's spin and its step into the park. A lost wakeup would
+        // leave the batch waiting out the worker's park deadline, 20 times
+        // the bound checked here.
+        let engine = test_engine(1);
+        let mut lane = engine.lane().unwrap();
+        let batch = records(engine.batch_size as u64, 8);
+        let shard = &engine.shards[0];
+        for round in 1..=1000u64 {
+            let idle = Instant::now();
+            if round % 2 == 1 {
+                while !shard.parked.load(Ordering::Relaxed) {
+                    assert!(idle.elapsed() < Duration::from_secs(1), "round {round}: never parked");
+                    thread::yield_now();
+                }
+            } else {
+                while idle.elapsed() < Duration::from_nanos(round * 7_919 % 60_000) {
+                    std::hint::spin_loop();
+                }
+            }
+            lane.submit(&batch).unwrap();
+            let shipped = Instant::now();
+            while engine.packets_processed() < round * batch.len() as u64 {
+                let waited = shipped.elapsed();
+                assert!(
+                    waited < Duration::from_millis(50),
+                    "round {round}: processed after {waited:?}"
+                );
+                thread::yield_now();
+            }
+        }
+        drop(lane);
+        let report = engine.drain();
+        assert_eq!(report.processed, 1000 * batch.len() as u64);
     }
 
     #[test]

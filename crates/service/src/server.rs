@@ -342,7 +342,33 @@ struct Shared {
     bytes_tx: Counter<AtomicCell>,
     rejects: Counter<AtomicCell>,
     timeouts: Counter<AtomicCell>,
-    query_nanos: Histogram<AtomicCell>,
+    query_nanos: QueryNanos,
+}
+
+/// How long each kind of request took to answer, one histogram per kind
+/// under `service.query_nanos.<kind>`, so the cost of a top-k does not
+/// hide among status polls.
+struct QueryNanos {
+    flow: Histogram<AtomicCell>,
+    top_k: Histogram<AtomicCell>,
+    status: Histogram<AtomicCell>,
+    telemetry: Histogram<AtomicCell>,
+    rotate: Histogram<AtomicCell>,
+    plan: Histogram<AtomicCell>,
+}
+
+impl QueryNanos {
+    fn register(registry: &SharedRegistry) -> QueryNanos {
+        let kind = |name: &str| registry.histogram(&format!("service.query_nanos.{name}"));
+        QueryNanos {
+            flow: kind("flow"),
+            top_k: kind("top_k"),
+            status: kind("status"),
+            telemetry: kind("telemetry"),
+            rotate: kind("rotate"),
+            plan: kind("plan"),
+        }
+    }
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -482,7 +508,7 @@ impl Server {
             bytes_tx: registry.counter("service.bytes.tx"),
             rejects: registry.counter("service.rejects"),
             timeouts: registry.counter("service.timeouts"),
-            query_nanos: registry.histogram("service.query_nanos"),
+            query_nanos: QueryNanos::register(&registry),
             registry,
             stop: AtomicBool::new(false),
             conns: Mutex::new(Conns::default()),
@@ -784,19 +810,23 @@ fn dispatch(
             send(writer, shared, &Response::FinAck { packets: accepted })
         }
         Request::QueryFlow(key) => {
-            let (packets, bytes) = timed_query(shared, || shared.engine.estimate(&key));
+            let (packets, bytes) =
+                timed_query(shared, &shared.query_nanos.flow, || shared.engine.estimate(&key));
             send(writer, shared, &Response::Flow { packets, bytes })
         }
         Request::QueryTopK(k) => {
-            let flows = timed_query(shared, || shared.engine.top_k(k as usize));
+            let flows =
+                timed_query(shared, &shared.query_nanos.top_k, || shared.engine.top_k(k as usize));
             send(writer, shared, &Response::TopK(flows))
         }
         Request::QueryStatus => {
-            let status = timed_query(shared, || shared.status());
+            let status = timed_query(shared, &shared.query_nanos.status, || shared.status());
             send(writer, shared, &Response::Status(status))
         }
         Request::QueryTelemetry => {
-            let json = timed_query(shared, || shared.engine.full_telemetry().to_json());
+            let json = timed_query(shared, &shared.query_nanos.telemetry, || {
+                shared.engine.full_telemetry().to_json()
+            });
             send(writer, shared, &Response::Telemetry(json))
         }
         Request::Rotate => {
@@ -804,7 +834,8 @@ fn dispatch(
             // runtime, so the closed epoch is evaluated and alert frames
             // reach subscribers *before* this `Rotated` ack — the e2e
             // battery times onset→alert against exactly that ordering.
-            let (epoch, flows_retired) = timed_query(shared, || match &shared.detection {
+            let rotate = &shared.query_nanos.rotate;
+            let (epoch, flows_retired) = timed_query(shared, rotate, || match &shared.detection {
                 Some(runtime) => {
                     let verdict = runtime.run_epoch();
                     (verdict.epoch, verdict.retired)
@@ -827,7 +858,7 @@ fn dispatch(
                 );
                 return false;
             };
-            let report = timed_query(shared, || tuner.report());
+            let report = timed_query(shared, &shared.query_nanos.plan, || tuner.report());
             send(writer, shared, &Response::Plan(report))
         }
         Request::Subscribe { kinds } => {
@@ -899,11 +930,13 @@ fn refuse_draining(writer: &Mutex<TcpStream>, shared: &Arc<Shared>, message: Str
     false
 }
 
-fn timed_query<T>(shared: &Arc<Shared>, f: impl FnOnce() -> T) -> T {
+/// Counts a query frame and times its answer into `nanos`, the
+/// histogram of its kind.
+fn timed_query<T>(shared: &Shared, nanos: &Histogram<AtomicCell>, f: impl FnOnce() -> T) -> T {
     shared.frames_query.inc();
     let start = Instant::now();
     let out = f();
-    shared.query_nanos.observe(start.elapsed().as_nanos() as u64);
+    nanos.observe(start.elapsed().as_nanos() as u64);
     out
 }
 
@@ -942,6 +975,40 @@ mod tests {
             ServiceConfig::builder().read_timeout(Duration::ZERO).build().unwrap_err(),
             ServiceConfigError::ZeroReadTimeout
         );
+    }
+
+    #[test]
+    fn each_query_kind_is_timed_in_its_own_histogram() {
+        let cfg = ServiceConfig::builder()
+            .workers(2)
+            .per_worker(InstaMeasureConfig::default().small_for_tests())
+            .build()
+            .unwrap();
+        let server = Server::start(cfg).unwrap();
+        let mut client = crate::ServiceClient::connect(server.local_addr()).unwrap();
+        let key = instameasure_packet::FlowKey::new(
+            [10, 0, 0, 1],
+            [10, 0, 0, 2],
+            1234,
+            80,
+            instameasure_packet::Protocol::Tcp,
+        );
+        for _ in 0..7 {
+            client.query_flow(&key).unwrap();
+        }
+        for _ in 0..3 {
+            client.top_k(10).unwrap();
+        }
+        let snap = server.registry().snapshot();
+        let count =
+            |kind: &str| snap.histogram(&format!("service.query_nanos.{kind}")).map(|h| h.count);
+        assert_eq!((count("flow"), count("top_k")), (Some(7), Some(3)));
+        for kind in ["status", "telemetry", "rotate", "plan"] {
+            assert_eq!(count(kind), Some(0), "{kind}");
+        }
+        assert!(snap.histogram("service.query_nanos").is_none(), "the mixed histogram is gone");
+        server.request_stop();
+        server.join();
     }
 
     #[test]

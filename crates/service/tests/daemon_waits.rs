@@ -2,8 +2,8 @@
 //! thread, each connection reader and the epoch clock, so a shutdown
 //! replies and joins in milliseconds at `ServiceConfig::default()`
 //! timeouts (5 s drain grace, 30 s idle cutoff) with idle peers attached,
-//! and an idle daemon's accept thread and epoch clock never wake on a
-//! timer.
+//! and an idle daemon's accept thread, epoch clock and shard workers
+//! never wake on a timer.
 //!
 //! The tests take one lock, so one daemon runs at a time: the thread
 //! checks read every thread of this process from `/proc/self/task`, and
@@ -217,28 +217,55 @@ mod threads {
     }
 }
 
+/// Starts a daemon on `cfg` and returns how often each thread named in
+/// `names` blocked over 250 ms of idleness, once the daemon's threads
+/// have reached their waits.
+#[cfg(target_os = "linux")]
+fn idle_blocks(cfg: ServiceConfig, names: &[String]) -> Vec<(String, u64)> {
+    let before = threads::ids();
+    let server = Server::start(cfg).expect("loopback bind");
+    thread::sleep(Duration::from_millis(50));
+    let fresh: Vec<u32> = threads::ids().into_iter().filter(|t| !before.contains(t)).collect();
+    let watched: Vec<(String, u32)> = names
+        .iter()
+        .map(|name| {
+            let mut found = fresh.iter().copied().filter(|&t| threads::name(t) == *name);
+            let tid = found.next().unwrap_or_else(|| panic!("no {name} thread"));
+            assert!(found.next().is_none(), "two {name} threads");
+            (name.clone(), tid)
+        })
+        .collect();
+    let at_start: Vec<u64> =
+        watched.iter().map(|&(_, tid)| threads::voluntary_switches(tid)).collect();
+    thread::sleep(Duration::from_millis(250));
+    let blocks = watched
+        .into_iter()
+        .zip(at_start)
+        .map(|((name, tid), start)| (name, threads::voluntary_switches(tid) - start))
+        .collect();
+    server.request_stop();
+    server.join();
+    blocks
+}
+
 #[cfg(target_os = "linux")]
 #[test]
 fn an_idle_daemon_does_not_wake_its_accept_thread_or_epoch_clock() {
     let _one = one_daemon_at_a_time();
-    let before = threads::ids();
-    let server = Server::start(config(Some(Some(Duration::from_secs(1))))).expect("loopback bind");
-    // Let the new threads reach their waits; the first epoch is 1 s away.
-    thread::sleep(Duration::from_millis(50));
-    let fresh: Vec<u32> = threads::ids().into_iter().filter(|t| !before.contains(t)).collect();
-    let find = |name: &str| {
-        let mut found = fresh.iter().copied().filter(|&t| threads::name(t) == name);
-        let tid = found.next().unwrap_or_else(|| panic!("no {name} thread"));
-        assert!(found.next().is_none(), "two {name} threads");
-        tid
-    };
-    let watched = [("im-accept", find("im-accept")), ("im-detect", find("im-detect"))];
-    let at_start = watched.map(|(_, tid)| threads::voluntary_switches(tid));
-    thread::sleep(Duration::from_millis(250));
-    let at_end = watched.map(|(_, tid)| threads::voluntary_switches(tid));
-    server.request_stop();
-    server.join();
-    for ((name, _), (start, end)) in watched.iter().zip(at_start.into_iter().zip(at_end)) {
-        assert!(end - start <= 2, "{name} blocked {} times in 250 ms", end - start);
+    // The first epoch is 1 s away.
+    let cfg = config(Some(Some(Duration::from_secs(1))));
+    for (name, blocks) in idle_blocks(cfg, &["im-accept".into(), "im-detect".into()]) {
+        assert!(blocks <= 2, "{name} blocked {blocks} times in 250 ms");
+    }
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn an_idle_default_daemon_does_not_wake_its_shard_workers() {
+    let _one = one_daemon_at_a_time();
+    let cfg = ServiceConfig::default();
+    let names: Vec<String> = (0..cfg.workers).map(|w| format!("im-shard-{w}")).collect();
+    for (name, blocks) in idle_blocks(cfg, &names) {
+        assert!(blocks <= 2, "{name} blocked {blocks} times in 250 ms");
     }
 }

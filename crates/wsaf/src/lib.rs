@@ -29,9 +29,14 @@
 //!   tests the slot's bit before it touches the entry, and an empty slot
 //!   costs no DRAM access;
 //! * [`WsafTable::iter`], [`WsafTable::sweep_expired`] and everything
-//!   built on them (top-k, per-epoch feature capture, flow export) walk
-//!   the set bits in ascending slot order and cost O(live flows) plus one
-//!   word read per 64 slots;
+//!   built on them (per-epoch feature capture, flow export) walk the set
+//!   bits in ascending slot order and cost O(live flows) plus one word
+//!   read per 64 slots;
+//! * top-k ([`WsafTable::top_k_by_packets`], [`WsafTable::top_k_by_bytes`])
+//!   reads none of the arena but its winners: the table keeps one
+//!   contiguous 24-byte row (packets, bytes, slot) per live entry beside
+//!   it, kept in step by every path that writes a live entry, and ranks
+//!   those rows in one sequential pass;
 //! * [`WsafTable::clear`] zeroes the bitmap alone;
 //! * [`WsafTable::new`] writes no slot: the slots come from one zeroed
 //!   allocation, so a 2²⁰-slot table reserves its 56 MB of address space

@@ -29,8 +29,10 @@ pub struct WsafDeposit {
 /// byte counter, timestamp, 5-tuple) plus the second-chance reference bit.
 ///
 /// Counters are `f64` because the FlowRegulator releases fractional
-/// estimates; the paper stores rounded 32-bit values.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// estimates; the paper stores rounded 32-bit values. Two entries are
+/// equal when their public fields are; the table's private row index
+/// does not take part.
+#[derive(Debug, Clone, Copy)]
 pub struct FlowEntry {
     /// 32-bit hash of the 5-tuple, the fast comparison key.
     pub flow_id: u32,
@@ -47,6 +49,41 @@ pub struct FlowEntry {
     pub first_ts: u64,
     /// Second-chance reference bit.
     pub referenced: bool,
+    /// Index of this entry's row in the table's rank rows, meaningful
+    /// while its slot is live. It sits in what would be padding.
+    row: u32,
+}
+
+// The row index must not grow the entry past the padding it fills.
+const _: () = assert!(std::mem::size_of::<FlowEntry>() == 56);
+
+impl PartialEq for FlowEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.flow_id == other.flow_id
+            && self.key == other.key
+            && self.packets == other.packets
+            && self.bytes == other.bytes
+            && self.last_ts == other.last_ts
+            && self.first_ts == other.first_ts
+            && self.referenced == other.referenced
+    }
+}
+
+/// A live entry's counters, copied beside the arena so that top-k ranks
+/// one contiguous 24-byte row per live flow instead of reading one
+/// 56-byte entry per flow scattered over the slot arena.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    packets: f64,
+    bytes: f64,
+    /// The slot whose entry this row mirrors.
+    slot: u32,
+}
+
+impl Row {
+    fn of(entry: &FlowEntry, slot: usize) -> Row {
+        Row { packets: entry.packets, bytes: entry.bytes, slot: slot as u32 }
+    }
 }
 
 /// What [`WsafTable::accumulate`] did with an update.
@@ -137,9 +174,9 @@ fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
 #[allow(unsafe_code)]
 fn zeroed_arena(slots: usize) -> Vec<FlowEntry> {
     let arena = Box::<[FlowEntry]>::new_zeroed_slice(slots);
-    // SAFETY: all-zero bytes are a valid `FlowEntry`. Its integers are 0,
-    // its floats 0.0, `referenced` is `false`, and the key's addresses and
-    // ports are zeros. The key's `Protocol` is `#[repr(u8)]`, so its first
+    // SAFETY: all-zero bytes are a valid `FlowEntry`. Its integers (the
+    // row index too) are 0, its floats 0.0, `referenced` is `false`, and
+    // the key's addresses and ports are zeros. The key's `Protocol` is `#[repr(u8)]`, so its first
     // byte is the tag and tag 0 is `Tcp`, which carries no payload.
     unsafe { arena.assume_init() }.into_vec()
 }
@@ -150,13 +187,20 @@ fn zeroed_arena(slots: usize) -> Vec<FlowEntry> {
 /// entry whose bit is clear are stale and never read: every path that
 /// sets a bit writes the whole entry first, so [`WsafTable::clear`]
 /// zeroes the bitmap and leaves `entries` as they are.
+///
+/// Each live entry also owns one row of `rows`, which mirrors its
+/// counters: the entry holds the row's index and the row holds the
+/// entry's slot. Every path that writes a live entry's counters writes
+/// its row, and freeing a slot swap-removes its row, so the rows stay
+/// dense and their count is the live count.
 #[derive(Debug, Clone)]
 pub struct WsafTable {
     cfg: WsafConfig,
     entries: Vec<FlowEntry>,
     /// Bit `i % 64` of word `i / 64` is set iff slot `i` holds a live entry.
     occupied: Vec<u64>,
-    live: usize,
+    /// One row per live entry, in no particular order.
+    rows: Vec<Row>,
     stats: WsafStats,
     /// Distribution of slots probed per [`WsafTable::accumulate`] — the
     /// paper's DRAM-cost metric, resolved beyond the average in `stats`.
@@ -172,7 +216,7 @@ impl WsafTable {
             cfg,
             entries: zeroed_arena(slots),
             occupied: vec![0; slots.div_ceil(64)],
-            live: 0,
+            rows: Vec::new(),
             stats: WsafStats::default(),
             probe_hist: LogHistogram::new(),
         }
@@ -187,19 +231,19 @@ impl WsafTable {
     /// Number of live entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.live
+        self.rows.len()
     }
 
     /// Whether the table holds no entries.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.rows.is_empty()
     }
 
     /// Live entries divided by capacity.
     #[must_use]
     pub fn load_factor(&self) -> f64 {
-        self.live as f64 / self.entries.len() as f64
+        self.len() as f64 / self.entries.len() as f64
     }
 
     /// Operation counters.
@@ -301,6 +345,9 @@ impl WsafTable {
                 entry.bytes += est_bytes;
                 entry.last_ts = ts;
                 entry.referenced = true;
+                let row = &mut self.rows[entry.row as usize];
+                row.packets = entry.packets;
+                row.bytes = entry.bytes;
                 self.stats.updates += 1;
                 self.probe_hist.observe(i as u64 + 1);
                 return AccumulateOutcome::Updated;
@@ -320,12 +367,13 @@ impl WsafTable {
             last_ts: ts,
             first_ts: ts,
             referenced: true,
+            row: self.rows.len() as u32,
         };
 
         if let Some(idx) = first_empty {
             self.entries[idx] = fresh;
+            self.rows.push(Row::of(&fresh, idx));
             self.occupied[idx / 64] |= 1 << (idx % 64);
-            self.live += 1;
             self.stats.inserts += 1;
             return AccumulateOutcome::Inserted;
         }
@@ -335,8 +383,7 @@ impl WsafTable {
         // Garbage collection: reclaim an expired entry if the window holds
         // one (paper: GC piggybacks on the insertion probe).
         if let Some(idx) = expired {
-            let evicted = self.entries[idx].key;
-            self.entries[idx] = fresh;
+            let evicted = self.replace(idx, fresh).key;
             self.stats.gc_reclaims += 1;
             self.stats.inserts += 1;
             return AccumulateOutcome::InsertedAfterGc { evicted };
@@ -367,11 +414,30 @@ impl WsafTable {
                 self.window_min(&probed[..window], |e| e.last_ts as f64).0
             }
         };
-        let old = self.entries[idx];
-        self.entries[idx] = fresh;
+        let old = self.replace(idx, fresh);
         self.stats.evictions += 1;
         self.stats.inserts += 1;
         AccumulateOutcome::InsertedAfterEviction { evicted: old.key, evicted_packets: old.packets }
+    }
+
+    /// Overwrites live slot `idx` with `fresh`, which takes over the old
+    /// entry's row; returns the old entry.
+    fn replace(&mut self, idx: usize, fresh: FlowEntry) -> FlowEntry {
+        let old = self.entries[idx];
+        self.entries[idx] = FlowEntry { row: old.row, ..fresh };
+        self.rows[old.row as usize] = Row::of(&fresh, idx);
+        old
+    }
+
+    /// Frees live slot `idx`: clears its bit and swap-removes its row,
+    /// repointing the entry whose row moves into the gap.
+    fn release(&mut self, idx: usize) {
+        self.occupied[idx / 64] &= !(1 << (idx % 64));
+        let row = self.entries[idx].row as usize;
+        self.rows.swap_remove(row);
+        if let Some(moved) = self.rows.get(row) {
+            self.entries[moved.slot as usize].row = row as u32;
+        }
     }
 
     /// Index (and metric value) of the window entry minimizing `metric`.
@@ -440,8 +506,7 @@ impl WsafTable {
     /// must equal `self.hash_key(key)`).
     pub fn remove_hashed(&mut self, key: &FlowKey, h: u64) -> Option<FlowEntry> {
         let idx = self.find(key, h)?;
-        self.occupied[idx / 64] &= !(1 << (idx % 64));
-        self.live -= 1;
+        self.release(idx);
         Some(self.entries[idx])
     }
 
@@ -463,31 +528,46 @@ impl WsafTable {
     /// The `k` largest flows by packet count, descending.
     #[must_use]
     pub fn top_k_by_packets(&self, k: usize) -> Vec<FlowEntry> {
-        self.top_k_by(k, |e| e.packets)
+        self.top_k_by(k, |row| row.packets)
     }
 
     /// The `k` largest flows by byte count, descending.
     #[must_use]
     pub fn top_k_by_bytes(&self, k: usize) -> Vec<FlowEntry> {
-        self.top_k_by(k, |e| e.bytes)
+        self.top_k_by(k, |row| row.bytes)
     }
 
     /// The `k` live entries ranked first by `metric` descending, then by
     /// slot ascending: the order a stable sort of [`WsafTable::iter`]
-    /// gives, ties included. Selects the `k` best `(metric, slot)` pairs
-    /// in O(live flows), sorts only those and copies out only their
-    /// entries.
-    fn top_k_by(&self, k: usize, metric: impl Fn(&FlowEntry) -> f64) -> Vec<FlowEntry> {
-        let rank = |a: &(f64, usize), b: &(f64, usize)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
-        let mut ranked: Vec<(f64, usize)> =
-            self.live_slots().map(|idx| (metric(&self.entries[idx]), idx)).collect();
-        if k < ranked.len() {
-            // Everything before index `k` now ranks ahead of what follows.
-            ranked.select_nth_unstable_by(k, rank);
-            ranked.truncate(k);
+    /// gives, ties included. One sequential pass over the rows keeps at
+    /// most `2k` candidates: whenever the buffer fills, an in-place select
+    /// keeps the best `k`, and the `k`-th of them becomes the cut that
+    /// every later row must beat. The arena is read only to copy out the
+    /// winners.
+    fn top_k_by(&self, k: usize, metric: impl Fn(&Row) -> f64) -> Vec<FlowEntry> {
+        let rank = |a: &(f64, u32), b: &(f64, u32)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
+        let k = k.min(self.len());
+        if k == 0 {
+            return Vec::new();
         }
-        ranked.sort_unstable_by(rank);
-        ranked.into_iter().map(|(_, idx)| self.entries[idx]).collect()
+        let mut best: Vec<(f64, u32)> = Vec::with_capacity(2 * k);
+        let mut cut = None;
+        for row in &self.rows {
+            let ranked = (metric(row), row.slot);
+            if cut.is_some_and(|cut| rank(&ranked, &cut).is_gt()) {
+                continue;
+            }
+            best.push(ranked);
+            if best.len() == 2 * k {
+                // Everything before index `k - 1` now ranks ahead of it.
+                best.select_nth_unstable_by(k - 1, rank);
+                best.truncate(k);
+                cut = Some(best[k - 1]);
+            }
+        }
+        best.sort_unstable_by(rank);
+        best.truncate(k);
+        best.into_iter().map(|(_, slot)| self.entries[slot as usize]).collect()
     }
 
     /// Removes every entry idle longer than the expiry at time `now`
@@ -496,25 +576,26 @@ impl WsafTable {
     /// [`WsafTable::accumulate`]).
     pub fn sweep_expired(&mut self, now: u64) -> usize {
         let expiry = self.cfg.expiry_nanos();
-        let mut removed = 0;
-        for (w, word) in self.occupied.iter_mut().enumerate() {
-            for bit in set_bits(*word) {
-                if now.saturating_sub(self.entries[w * 64 + bit].last_ts) > expiry {
-                    *word &= !(1 << bit);
-                    removed += 1;
+        let before = self.len();
+        for w in 0..self.occupied.len() {
+            for bit in set_bits(self.occupied[w]) {
+                let idx = w * 64 + bit;
+                if now.saturating_sub(self.entries[idx].last_ts) > expiry {
+                    self.release(idx);
                 }
             }
         }
-        self.live -= removed;
+        let removed = before - self.len();
         self.stats.gc_reclaims += removed as u64;
         removed
     }
 
-    /// Clears all entries and statistics. Only the occupancy bitmap is
-    /// zeroed; the stale entry bytes are overwritten when a slot is reused.
+    /// Clears all entries and statistics. Only the occupancy bitmap and
+    /// the rows are cleared; the stale entry bytes are overwritten when a
+    /// slot is reused.
     pub fn clear(&mut self) {
         self.occupied.fill(0);
-        self.live = 0;
+        self.rows.clear();
         self.stats = WsafStats::default();
         self.probe_hist.reset();
     }
@@ -535,7 +616,7 @@ impl Instrumented for WsafTable {
         snap.set_counter("wsaf.gc_reclaims", self.stats.gc_reclaims);
         snap.set_counter("wsaf.evictions", self.stats.evictions);
         snap.set_counter("wsaf.probes", self.stats.probes);
-        snap.set_counter("wsaf.live_entries", self.live as u64);
+        snap.set_counter("wsaf.live_entries", self.len() as u64);
         snap.set_histogram("wsaf.probe_len", self.probe_hist.snapshot());
         snap.set_gauge("wsaf.load_factor", self.load_factor());
         snap.set_gauge("wsaf.probes_per_op", self.stats.probes_per_op());
@@ -548,6 +629,7 @@ mod tests {
     use super::*;
     use crate::WsafConfig;
     use instameasure_packet::Protocol;
+    use proptest::prelude::*;
 
     fn key(i: u32) -> FlowKey {
         FlowKey::new(i.to_be_bytes(), (i ^ 0xABCD).to_be_bytes(), 80, 443, Protocol::Tcp)
@@ -768,9 +850,72 @@ mod tests {
             last_ts: 0,
             first_ts: 0,
             referenced: false,
+            row: 0,
         };
         assert_eq!(t.entries.len(), 64);
-        assert!(t.entries.iter().all(|e| *e == zero));
+        assert!(t.entries.iter().all(|e| *e == zero && e.row == 0));
+    }
+
+    /// Each live slot's entry owns one row that points back at the slot
+    /// and holds the entry's counters bit for bit, and no other row
+    /// exists.
+    fn assert_rows_in_step(t: &WsafTable) {
+        let live: Vec<usize> = t.live_slots().collect();
+        assert_eq!(live.len(), t.len(), "live slots against len()");
+        assert_eq!(t.rows.len(), t.len(), "rows against len()");
+        for slot in live {
+            let entry = &t.entries[slot];
+            let row = t.rows[entry.row as usize];
+            assert_eq!(row.slot as usize, slot, "row {} belongs to another slot", entry.row);
+            assert_eq!(row.packets.to_bits(), entry.packets.to_bits(), "slot {slot} packets");
+            assert_eq!(row.bytes.to_bits(), entry.bytes.to_bits(), "slot {slot} bytes");
+        }
+    }
+
+    /// One step of the rows property test; `dt` advances the clock first.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Accumulate { flow: u32, pkts: f64, dt: u64 },
+        Remove { flow: u32 },
+        Sweep { dt: u64 },
+        Clear,
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        (0u8..20, 0u32..40, 0.5f64..50.0, 0u64..20).prop_map(|(kind, flow, pkts, dt)| match kind {
+            0..=13 => Step::Accumulate { flow, pkts, dt },
+            14..=16 => Step::Remove { flow },
+            17 | 18 => Step::Sweep { dt: dt * 3 },
+            _ => Step::Clear,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 128 }))]
+        #[test]
+        fn rows_stay_in_step_with_live_entries(steps in prop::collection::vec(step(), 1..200)) {
+            // 40 flows over 16 slots with 2-slot probe windows and a 30 ns
+            // expiry: accumulates reach GC reclaims and evictions.
+            let mut t = WsafTable::new(
+                WsafConfig::builder().entries_log2(4).probe_limit(2).expiry_nanos(30).build().unwrap(),
+            );
+            let mut now = 0;
+            for step in steps {
+                match step {
+                    Step::Accumulate { flow, pkts, dt } => {
+                        now += dt;
+                        t.accumulate(&key(flow), pkts, pkts * 64.0, now);
+                    }
+                    Step::Remove { flow } => drop(t.remove(&key(flow))),
+                    Step::Sweep { dt } => {
+                        now += dt;
+                        t.sweep_expired(now);
+                    }
+                    Step::Clear => t.clear(),
+                }
+                assert_rows_in_step(&t);
+            }
+        }
     }
 
     #[test]
